@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig04
+from repro.pipeline import get_experiment
 
 
 def test_fig04_utilization(benchmark):
-    result = report(benchmark(run_fig04.__wrapped__))
+    result = report(benchmark(get_experiment("fig04").run))
     by_kernel = {row["kernel"]: row for row in result.rows}
     # Shape: the memory-bound diagnosis — DRAM utilization dwarfs compute utilization
     # for the hash-table kernels (paper: 5.24x-21.44x across all bottleneck kernels).

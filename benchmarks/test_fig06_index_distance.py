@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig06
+from repro.pipeline import get_experiment
 
 
 def test_fig06_index_distance(benchmark):
-    result = report(benchmark(run_fig06.__wrapped__, num_cubes=8192))
+    result = report(benchmark(get_experiment("fig06").run, num_cubes=8192))
     by_hash = {row["hash"]: row for row in result.rows}
     morton = by_hash["morton-locality"]
     original = by_hash["ingp-prime-xor"]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig07
+from repro.pipeline import get_experiment
 
 
 def test_fig07_locality(benchmark):
-    result = report(benchmark(run_fig07.__wrapped__))
+    result = report(benchmark(get_experiment("fig07").run, scene=""))
     improvements = result.column("effective_bw_improvement")
     sharing = result.column("points_sharing_cube")
     # Shape: every level improves, coarse levels improve the most, and the

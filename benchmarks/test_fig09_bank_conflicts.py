@@ -4,18 +4,19 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig09
-from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import TraceConfig
+from repro.pipeline import get_experiment
 
 
 def test_fig09_bank_conflicts(benchmark):
     result = report(
         benchmark(
-            run_fig09.__wrapped__,
-            subarray_counts=(1, 2, 4, 8, 16, 32, 64),
-            grid_config=HashGridConfig(num_levels=16),
-            trace_config=TraceConfig(num_rays=48, points_per_ray=48, seed=1),
+            get_experiment("fig09").run,
+            subarrays="1,2,4,8,16,32,64",
+            levels=16,
+            rays=48,
+            points_per_ray=48,
+            seed=1,
+            scene="",
         )
     )
     # Shape: conflicts fall monotonically (on average) as subarrays increase,

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig10
+from repro.pipeline import get_experiment
 
 
 def test_fig10_parallelism(benchmark):
-    result = report(benchmark(run_fig10.__wrapped__, num_banks=16))
+    result = report(benchmark(get_experiment("fig10").run, num_banks=16))
     totals = {row["plan"]: row["total_mb"] for row in result.rows}
     rows = {row["plan"]: row for row in result.rows}
     # Shape: the heterogeneous plan moves the least data, and the all-data-parallel

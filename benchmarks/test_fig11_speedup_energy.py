@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_fig11
+from repro.pipeline import get_experiment
 from repro.experiments.fig11_speedup_energy import PAPER_RANGES
 
 
 def test_fig11_speedup_energy(benchmark):
-    result = report(benchmark(run_fig11.__wrapped__))
+    result = report(benchmark(get_experiment("fig11").run, trace_scene="", points_per_ray=32))
     average = result.rows[-1]
     assert average["scene"] == "AVERAGE"
     # Shape: order-of-magnitude gains over both edge GPUs, with TX2 (the slower

@@ -2,23 +2,22 @@
 
 Five claims are checked:
 
-1. Running the full registered suite against one shared
-   :class:`SimulationContext` produces results identical to calling the
-   legacy ``run_*`` functions back-to-back, while reusing artifacts (cache
-   hits) and finishing faster.  The timed comparison covers the ten
-   model-driven experiments; the trainer-based Table IV experiment performs
-   byte-identical work on both paths (asserted via the result equality, which
-   includes it) and is left out of the timing loop only because its
-   allocation-heavy training adds timing noise, not signal.  CPU time is
-   compared (both paths are single-threaded deterministic work), with the
-   wall-style assertion relaxed under ``PERF_SMOKE=1`` for noisy CI runners,
-   mirroring ``test_perf_hotpaths.py``.
+1. Running the full registered suite at its smoke presets against one shared
+   :class:`SimulationContext` reproduces the golden artifact manifest
+   (``tests/golden/report_fast.sha256``) byte for byte while reusing
+   artifacts (cache hits), and the ten model-driven experiments finish
+   faster on a shared context than back to back, each on its own fresh
+   context (the legacy baseline: how every experiment ran on its own).  CPU
+   time is compared (both paths are single-threaded deterministic work),
+   with the wall-style assertion relaxed under ``PERF_SMOKE=1`` for noisy CI
+   runners, mirroring ``test_perf_hotpaths.py``.
 2. A multi-worker sweep writes deterministic, seed-stable JSON artifacts:
    running the same grid twice — with a different worker count, or serially
    — yields byte-identical files (runtime provenance is excluded from them).
-3. A (scene x method) PSNR sweep through the shared context is faster than
-   the equivalent legacy per-cell ``run_tab04`` calls, because the rendered
-   datasets are shared across the hash-function cells.
+3. A (scene x method) PSNR sweep through the shared context renders each
+   scene's dataset once, also with cells running on two threads, and is
+   faster than the equivalent per-cell ``tab04`` runs on fresh contexts,
+   because the rendered datasets are shared across the hash-function cells.
 4. A process-pool sweep of an 8-cell grid (shared-memory artifact export,
    GIL-free workers) is byte-identical to the serial run; at full scale on a
    multi-core machine it clears a >=2x wall-clock floor.  The floor needs
@@ -41,179 +40,63 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.codesign import AlgorithmConfig, InstantNeRFSystem
-from repro.experiments import (
-    PrecisionRunConfig,
-    QualityRunConfig,
-    run_fig01,
-    run_fig04,
-    run_fig06,
-    run_fig07,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_fig14,
-    run_fig15,
-    run_tab01,
-    run_tab02,
-    run_tab03,
-    run_tab04,
-    run_tab05,
+from repro.experiments.runner import artifact_digests, atomic_write_text, read_digest_manifest
+from repro.pipeline import (
+    ArtifactStore,
+    SimulationContext,
+    all_experiments,
+    get_experiment,
+    run_suite,
+    sweep,
 )
-from repro.experiments.runner import atomic_write_text
-from repro.nerf.encoding import HashGridConfig
-from repro.pipeline import ArtifactStore, SimulationContext, run_suite, sweep
 from repro.pipeline.sweep import ProcessSweepExecutor
-from repro.serve import BatchPolicy, ServeWorkloadConfig, ServiceCostConfig
-from repro.workloads.embedding import EmbeddingTraceConfig
-from repro.workloads.traces import TraceConfig
 
 PERF_SMOKE = os.environ.get("PERF_SMOKE", "") == "1"
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_PATH = REPO_ROOT / "BENCH_pipeline.json"
+GOLDEN_MANIFEST = REPO_ROOT / "tests" / "golden" / "report_fast.sha256"
 
-#: Shared trace/grid configuration of the locality trio (Fig. 7/9/11): one
-#: lego training batch at a meaningful scale, matched between both paths.
-RAYS, POINTS_PER_RAY, PROBES = 384, 64, 96
-SUBARRAYS = (1, 16)
-GRID16 = HashGridConfig(num_levels=16)
-TRACE = TraceConfig(
-    num_rays=RAYS, points_per_ray=POINTS_PER_RAY, seed=0, scene="lego", probe_samples=PROBES
-)
-#: Smoke-scale Table IV configuration (identical work on both paths).
-PSNR_KW = dict(
-    image_size=12,
-    num_train_views=2,
-    num_test_views=1,
-    iterations=8,
-    rays_per_batch=48,
-    samples_per_ray=12,
-)
+#: Shared trace configuration of the locality trio (Fig. 7/9/11): one lego
+#: training batch at a meaningful scale.
+RAYS, PROBES = 384, 96
 FAST_NAMES = [
     "fig01", "fig04", "fig06", "fig07", "fig09",
     "fig10", "fig11", "tab01", "tab02", "tab03",
 ]
-CACHE_KB = (16, 64)
-OCC_RESOLUTIONS = (16, 32)
-#: Smoke-scale Table V precision pair (fp32 trained + int8 PTQ'd from it).
-TAB05_DTYPES = ("fp32", "int8")
-#: Smoke-scale embedding front-end (Fig. 15): two small Zipfian tables.
-EMB_CONFIG = EmbeddingTraceConfig(num_tables=2, table_rows=2048, batch_size=64, pooling_factor=4)
-EMB_SUBARRAYS = (1, 4)
-#: Smoke-scale serving sweep (Fig. 14): light + saturated load, both policies.
-SERVE_LOADS = (0.5, 4.0)
-SERVE_POLICIES = (BatchPolicy.FIFO, BatchPolicy.SJF)
-SERVE_ADMISSIONS = ("none", "depth")
-SERVE_WORKLOAD = ServeWorkloadConfig(requests_per_tenant=24)
-SERVE_COST = ServiceCostConfig(grid_levels=2)
 OVERRIDES = {
     "fig07": {"rays": RAYS, "probe_samples": PROBES},
-    "fig09": {
-        "rays": RAYS,
-        "probe_samples": PROBES,
-        "subarrays": ",".join(map(str, SUBARRAYS)),
-    },
+    "fig09": {"rays": RAYS, "probe_samples": PROBES, "subarrays": "1,16"},
     "fig11": {"rays": RAYS, "probe_samples": PROBES},
     "fig12_cache_hit_rate": {
         "rays": RAYS,
         "probe_samples": PROBES,
-        "cache_kb": ",".join(map(str, CACHE_KB)),
+        "cache_kb": "16,64",
         "timing": "false",
     },
     "fig13_occupancy_traffic": {
         "rays": RAYS,
         "probe_samples": PROBES,
-        "resolutions": ",".join(map(str, OCC_RESOLUTIONS)),
+        "resolutions": "16,32",
         "timing": "false",
     },
-    "fig14_serving_latency": {
-        "loads": ",".join(map(str, SERVE_LOADS)),
-        "policies": ",".join(p.value for p in SERVE_POLICIES),
-        "admission": ",".join(SERVE_ADMISSIONS),
-        "requests": SERVE_WORKLOAD.requests_per_tenant,
-        "grid_levels": SERVE_COST.grid_levels,
-    },
     "fig15_embedding_locality": {
-        "tables": EMB_CONFIG.num_tables,
-        "table_rows": EMB_CONFIG.table_rows,
-        "batch": EMB_CONFIG.batch_size,
-        "pooling": EMB_CONFIG.pooling_factor,
-        "subarrays": ",".join(map(str, EMB_SUBARRAYS)),
+        "tables": 2,
+        "table_rows": 2048,
+        "batch": 64,
+        "pooling": 4,
+        "subarrays": "1,4",
         "timing": "false",
     },
     "tab04": {
         "scenes": "lego",
         "methods": "ingp",
-        "image_size": PSNR_KW["image_size"],
-        "num_train_views": PSNR_KW["num_train_views"],
-        "iterations": PSNR_KW["iterations"],
-        "rays_per_batch": PSNR_KW["rays_per_batch"],
-        "samples_per_ray": PSNR_KW["samples_per_ray"],
-    },
-    "tab05_psnr_precision": {
-        "scenes": "lego",
-        "dtypes": ",".join(TAB05_DTYPES),
-        "image_size": PSNR_KW["image_size"],
-        "num_train_views": PSNR_KW["num_train_views"],
-        "iterations": PSNR_KW["iterations"],
-        "rays_per_batch": PSNR_KW["rays_per_batch"],
-        "samples_per_ray": PSNR_KW["samples_per_ray"],
+        "image_size": 12,
+        "num_train_views": 2,
+        "iterations": 8,
+        "rays_per_batch": 48,
+        "samples_per_ray": 12,
     },
 }
-
-
-def _tab05_config() -> PrecisionRunConfig:
-    return PrecisionRunConfig(scenes=("lego",), dtypes=TAB05_DTYPES, **PSNR_KW)
-
-
-def _legacy_fast() -> dict:
-    """The ten model-driven experiments via the legacy entry points."""
-    return {
-        "fig01": run_fig01.__wrapped__(),
-        "fig04": run_fig04.__wrapped__(),
-        "fig06": run_fig06.__wrapped__(),
-        "fig07": run_fig07.__wrapped__(GRID16, TRACE),
-        "fig09": run_fig09.__wrapped__(SUBARRAYS, GRID16, TRACE),
-        "fig10": run_fig10.__wrapped__(),
-        "fig11": run_fig11.__wrapped__(
-            InstantNeRFSystem(AlgorithmConfig.instant_nerf(), GRID16, trace_config=TRACE)
-        ),
-        "tab01": run_tab01.__wrapped__(),
-        "tab02": run_tab02.__wrapped__(),
-        "tab03": run_tab03.__wrapped__(),
-    }
-
-
-def _legacy_full() -> dict:
-    results = _legacy_fast()
-    results["tab04"] = run_tab04.__wrapped__(QualityRunConfig(scenes=("lego",), **PSNR_KW), ("ingp",))
-    results["tab05_psnr_precision"] = run_tab05.__wrapped__(_tab05_config())
-    results["fig12_cache_hit_rate"] = run_fig12.__wrapped__(GRID16, TRACE, CACHE_KB, timing=False)
-    results["fig13_occupancy_traffic"] = run_fig13.__wrapped__(
-        GRID16,
-        TraceConfig(
-            num_rays=RAYS, points_per_ray=POINTS_PER_RAY, seed=0, scene="mic", probe_samples=PROBES
-        ),
-        OCC_RESOLUTIONS,
-        timing=False,
-    )
-    results["fig15_embedding_locality"] = run_fig15.__wrapped__(EMB_CONFIG, EMB_SUBARRAYS, timing=False)
-    # Fig. 14 is registry-native (no deprecated entry point); the standalone
-    # equivalent is the same run function against a private throwaway context.
-    results["fig14_serving_latency"] = run_fig14(
-        SERVE_WORKLOAD,
-        SERVE_COST,
-        SERVE_LOADS,
-        SERVE_POLICIES,
-        SERVE_ADMISSIONS,
-        context=SimulationContext(),
-    )
-    return results
-
-
-def _canonical(results: dict) -> str:
-    return json.dumps({name: res.to_dict() for name, res in results.items()}, sort_keys=True)
 
 
 _RESULTS: dict[str, dict] = {}
@@ -254,13 +137,12 @@ def bench_trajectory():
     atomic_write_text(BENCH_PATH, json.dumps(trajectory, indent=2) + "\n", overwrite=True)
 
 
-def test_full_suite_shared_context_faster_than_legacy():
-    # --- correctness: the registry path reproduces the legacy results exactly
+def test_full_suite_shared_context_faster_than_legacy(tmp_path):
+    # --- correctness: the shared-context suite reproduces the golden manifest
     context = SimulationContext()
-    suite = run_suite(context=context, overrides=OVERRIDES)
-    legacy = _legacy_full()
-    assert set(suite) == set(legacy)
-    assert _canonical(suite) == _canonical(legacy)
+    smoke = {spec.name: spec.smoke for spec in all_experiments()}
+    suite = run_suite(context=context, overrides=smoke)
+    assert artifact_digests(suite, tmp_path) == read_digest_manifest(GOLDEN_MANIFEST)
     # Sharing must actually happen: the locality trio draws from one trace,
     # Fig. 7 reuses Fig. 9's corner-index streams, Fig. 4 reuses Fig. 1's
     # kernel profiles.
@@ -270,7 +152,11 @@ def test_full_suite_shared_context_faster_than_legacy():
     assert reuse.get("level_indices", 0) >= 16, reuse  # fig07 derives from fig09's streams
     assert reuse.get("scene_profile", 0) >= 6, reuse  # fig04 reads fig01's kernel profiles
 
-    # --- speed: shared context beats legacy back-to-back on the model-driven set
+    # --- speed: shared context beats fresh-context runs on the model-driven set
+    def run_isolated():
+        for name in FAST_NAMES:
+            get_experiment(name).run(SimulationContext(), **OVERRIDES.get(name, {}))
+
     def run_pipeline_fast():
         ctx = SimulationContext()
         run_suite(FAST_NAMES, context=ctx, overrides=OVERRIDES)
@@ -279,7 +165,7 @@ def test_full_suite_shared_context_faster_than_legacy():
     legacy_times, pipeline_times = [], []
     for _ in range(reps):
         start = time.process_time()
-        _legacy_fast()
+        run_isolated()
         legacy_times.append(time.process_time() - start)
         start = time.process_time()
         run_pipeline_fast()
@@ -335,10 +221,6 @@ def test_multiworker_sweep_artifacts_deterministic(tmp_path):
 
 def test_psnr_sweep_shares_datasets_across_cells():
     """The (scene x hash-method) training matrix reuses rendered datasets."""
-    cfg_kw = dict(
-        image_size=16, num_train_views=3, num_test_views=1,
-        iterations=12, rays_per_batch=64, samples_per_ray=16,
-    )
     grid = {"scenes": ["lego", "chair"], "methods": ["ingp", "instant-nerf"]}
     extra = {
         "seed": "0",
@@ -353,7 +235,9 @@ def test_psnr_sweep_shares_datasets_across_cells():
         out = {}
         for scene in grid["scenes"]:
             for method in grid["methods"]:
-                result = run_tab04.__wrapped__(QualityRunConfig(scenes=(scene,), **cfg_kw), (method,))
+                result = get_experiment("tab04").run(
+                    SimulationContext(), scenes=scene, methods=method, **extra
+                )
                 out[(scene, method)] = result.rows[0]["avg_psnr"]
         return out
 

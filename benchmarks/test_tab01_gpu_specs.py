@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from conftest import report
 
-from repro.experiments import run_tab01
+from repro.pipeline import get_experiment
 
 
 def test_tab01_gpu_specs(benchmark):
-    result = report(benchmark(run_tab01.__wrapped__))
+    result = report(benchmark(get_experiment("tab01").run))
     devices = {row["device"]: row for row in result.rows}
     assert set(devices) == {"XNX", "TX2", "2080Ti", "QuestPro"}
     assert devices["XNX"]["dram_bw_gbps"] == 59.7

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
-from repro.experiments import run_tab02
+from repro.pipeline import get_experiment
 
 
 def test_tab02_step_sizes(benchmark):
-    result = report(benchmark(run_tab02.__wrapped__))
+    result = report(benchmark(get_experiment("tab02").run))
     by_step = {row["step"]: row for row in result.rows}
     # Derived sizes must track the paper's Table II (25 MB hash table, 16 MB
     # encodings, 32 MB MLP intermediates, ~14 KB MLP weights).

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from conftest import report
 
-from repro.experiments import run_tab03
+from repro.pipeline import get_experiment
 
 
 def test_tab03_accel_config(benchmark):
-    result = report(benchmark(run_tab03.__wrapped__))
+    result = report(benchmark(get_experiment("tab03").run))
     values = {row["parameter"]: row["value"] for row in result.rows}
     assert values["INT32 PEs per bank"] == 256
     assert values["FP32 PEs per bank"] == 256

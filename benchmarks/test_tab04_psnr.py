@@ -12,13 +12,12 @@ from __future__ import annotations
 import numpy as np
 from conftest import report
 
-from repro.experiments import QualityRunConfig, run_tab04
+from repro.pipeline import get_experiment
 
-BENCH_CONFIG = QualityRunConfig(
-    scenes=("lego",),
+BENCH_PARAMS = dict(
+    scenes="lego",
     image_size=32,
     num_train_views=6,
-    num_test_views=1,
     iterations=80,
     rays_per_batch=128,
     samples_per_ray=32,
@@ -29,8 +28,8 @@ def test_tab04_psnr_hash_grid_methods(benchmark):
     """iNGP vs Instant-NeRF algorithm: the Morton hash must not cost quality."""
     result = report(
         benchmark.pedantic(
-            run_tab04.__wrapped__,
-            kwargs={"config": BENCH_CONFIG, "methods": ("ingp", "instant-nerf")},
+            get_experiment("tab04").run,
+            kwargs={**BENCH_PARAMS, "methods": "ingp,instant-nerf"},
             iterations=1,
             rounds=1,
         )
@@ -46,8 +45,8 @@ def test_tab04_psnr_baselines(benchmark):
     """Full method sweep on one scene at the reduced benchmark scale."""
     result = report(
         benchmark.pedantic(
-            run_tab04.__wrapped__,
-            kwargs={"config": BENCH_CONFIG, "methods": ("nerf", "fastnerf", "tensorf", "ingp")},
+            get_experiment("tab04").run,
+            kwargs={**BENCH_PARAMS, "methods": "nerf,fastnerf,tensorf,ingp"},
             iterations=1,
             rounds=1,
         )

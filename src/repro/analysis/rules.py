@@ -195,9 +195,8 @@ _CONTEXT_EQUIVALENTS: dict[str, str] = {
     "generate_scene_batch_points": "context.batch_points(trace)",
     "point_order": "context.stream_order(trace, order)",
     "level_lookup_indices": "context.level_indices(grid, trace, hash_fn, level)",
-    "lookup_addresses": "context.level_addresses(grid, trace, hash_fn, level)",
+    "lookup_addresses": "context.request_stream(...).addresses",
     "memory_requests_for_stream": "context.row_requests(...)",
-    "row_requests_from_corner_indices": "context.row_requests(...)",
     "points_sharing_same_cube": "context.cube_sharing(trace, resolution, order)",
     "register_hit_rate": "context.register_hits(trace, resolution, order)",
     "build_scene": "context.scene(name)",
@@ -215,9 +214,9 @@ STREAM_BOUNDARY_EXEMPT_DIRS = (
     "src/repro/dram/",
 )
 
-#: Memory-system entry points that accept request streams (the deprecated
-#: ndarray signatures still work, but only for values produced elsewhere —
-#: never for arrays assembled at the call site).
+#: Memory-system entry points that accept request streams (``service_batch``
+#: also keeps its low-level address-ndarray form, but only for values
+#: produced elsewhere — never for arrays assembled at the call site).
 _STREAM_CONSUMERS = frozenset(
     {"filter_stream", "filter_stream_reference", "service_batch", "service_addresses"}
 )

@@ -1,48 +1,37 @@
-"""Experiment harnesses: one runner per paper table/figure.
+"""Experiment harnesses: one registered experiment per paper table/figure.
 
-Every ``run_*`` function returns an :class:`repro.experiments.runner.ExperimentResult`
-whose rows are the same quantities the paper's table or figure reports; the
-benchmarks print them and assert the expected shape.
+Importing this package registers every experiment with
+:mod:`repro.pipeline.registry`; run one with
+``get_experiment(name).run(ctx, **params)`` (or ``python -m repro run
+NAME``).  Each returns an :class:`repro.experiments.runner.ExperimentResult`
+whose rows are the same quantities the paper's table or figure reports.
 """
 
-from .fig01_training_time import run_fig01
-from .fig04_utilization import run_fig04
-from .fig06_index_distance import run_fig06
-from .fig07_locality import run_fig07
-from .fig09_bank_conflicts import run_fig09
-from .fig10_parallelism import run_fig10
-from .fig11_speedup_energy import run_fig11
-from .fig12_cache_hit_rate import run_fig12
-from .fig13_occupancy_traffic import run_fig13
-from .fig14_serving_latency import run_fig14
-from .fig15_embedding_locality import run_fig15
+# Imported for their @register_experiment side effect, in paper order.
+from . import fig01_training_time  # noqa: F401
+from . import fig04_utilization  # noqa: F401
+from . import fig06_index_distance  # noqa: F401
+from . import fig07_locality  # noqa: F401
+from . import fig09_bank_conflicts  # noqa: F401
+from . import fig10_parallelism  # noqa: F401
+from . import fig11_speedup_energy  # noqa: F401
+from . import fig12_cache_hit_rate  # noqa: F401
+from . import fig13_occupancy_traffic  # noqa: F401
+from . import fig14_serving_latency  # noqa: F401
+from . import fig15_embedding_locality  # noqa: F401
+from . import tab01_gpu_specs  # noqa: F401
+from . import tab02_step_sizes  # noqa: F401
+from . import tab03_accel_config  # noqa: F401
+from . import tab04_psnr  # noqa: F401
+from . import tab05_psnr_precision  # noqa: F401
 from .runner import ExperimentResult, format_series, format_table
-from .tab01_gpu_specs import run_tab01
-from .tab02_step_sizes import run_tab02
-from .tab03_accel_config import run_tab03
-from .tab04_psnr import QualityRunConfig, run_tab04
-from .tab05_psnr_precision import PrecisionRunConfig, run_tab05
+from .tab04_psnr import QualityRunConfig
+from .tab05_psnr_precision import PrecisionRunConfig
 
 __all__ = [
-    "run_fig01",
-    "run_fig04",
-    "run_fig06",
-    "run_fig07",
-    "run_fig09",
-    "run_fig10",
-    "run_fig11",
-    "run_fig12",
-    "run_fig13",
-    "run_fig14",
-    "run_fig15",
     "ExperimentResult",
     "format_series",
     "format_table",
-    "run_tab01",
-    "run_tab02",
-    "run_tab03",
     "QualityRunConfig",
-    "run_tab04",
     "PrecisionRunConfig",
-    "run_tab05",
 ]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from ..gpu.specs import ALL_GPUS, XNX, GPUSpec
+from ..gpu.specs import ALL_GPUS
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import StepName
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig04", "PROFILED_STEPS"]
+__all__ = ["fig04_experiment", "PROFILED_STEPS"]
 
 #: The kernels Fig. 4 plots (bottleneck steps and their backward passes).
 PROFILED_STEPS = (
@@ -21,21 +21,27 @@ PROFILED_STEPS = (
 )
 
 
-@legacy_entry_point("fig04")
-def run_fig04(
-    gpu: GPUSpec = XNX, *, context: SimulationContext | None = None
-) -> ExperimentResult:
-    """Reproduce Fig. 4 on the XNX edge GPU.
+@register_experiment(
+    "fig04",
+    paper_ref="Fig. 4",
+    title="Bottleneck-kernel DRAM/compute utilization on an edge GPU",
+    params=(
+        ParamSpec("gpu", str, "XNX", choices=tuple(ALL_GPUS), help="profiled GPU"),
+    ),
+    consumes=("gpu_profiles",),
+)
+def fig04_experiment(ctx: SimulationContext, *, gpu: str) -> ExperimentResult:
+    """Reproduce Fig. 4 on one GPU (the XNX edge GPU by default).
 
     One row per profiled kernel with DRAM read/write throughput (GB/s), DRAM
     bandwidth utilization, and FP32/FP16/INT32 utilization.  The paper's key
     observation — DRAM utilization 5.24x-21.44x higher than any compute
     utilization — is exposed through the ``bw_to_compute_ratio`` column.
     """
-    ctx = context if context is not None else SimulationContext()
+    spec = ctx.gpu(gpu)
     rows = []
     for step in PROFILED_STEPS:
-        profile = ctx.step_profile(gpu, step)
+        profile = ctx.step_profile(spec, step)
         rows.append(
             {
                 "kernel": step.value,
@@ -51,23 +57,10 @@ def run_fig04(
         )
     return ExperimentResult(
         experiment_id="Fig. 4",
-        description=f"DRAM throughput and ALU/FPU utilization of bottleneck kernels on {gpu.name}",
+        description=f"DRAM throughput and ALU/FPU utilization of bottleneck kernels on {spec.name}",
         rows=rows,
         notes=(
             "Paper: DRAM utilization is 5.24x-21.44x the FPU/ALU utilization; "
             "all kernels memory-bound."
         ),
     )
-
-
-@register_experiment(
-    "fig04",
-    paper_ref="Fig. 4",
-    title="Bottleneck-kernel DRAM/compute utilization on an edge GPU",
-    params=(
-        ParamSpec("gpu", str, "XNX", choices=tuple(ALL_GPUS), help="profiled GPU"),
-    ),
-    consumes=("gpu_profiles",),
-)
-def fig04_experiment(ctx: SimulationContext, *, gpu: str) -> ExperimentResult:
-    return run_fig04.__wrapped__(ctx.gpu(gpu), context=ctx)

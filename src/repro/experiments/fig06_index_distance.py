@@ -6,17 +6,15 @@ import numpy as np
 
 from ..core.hashing import (
     DISTANCE_BIN_LABELS,
-    MortonLocalityHash,
-    OriginalSpatialHash,
     average_row_requests_per_cube,
     get_hash_function,
     index_distance_breakdown,
 )
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig06"]
+__all__ = ["fig06_experiment"]
 
 #: Paper-reported reference values.
 PAPER_MORTON_LEQ16 = 0.82
@@ -24,50 +22,6 @@ PAPER_ORIGINAL_LEQ16 = 0.554
 PAPER_ORIGINAL_GT5000 = 0.227
 PAPER_MORTON_REQUESTS_PER_CUBE = 1.58
 PAPER_ORIGINAL_REQUESTS_PER_CUBE = 4.02
-
-
-@legacy_entry_point("fig06")
-def run_fig06(
-    num_cubes: int = 4096,
-    table_size: int = 2**19,
-    resolution: int = 2048,
-    seed: int = 0,
-    hash_fns: tuple | None = None,
-) -> ExperimentResult:
-    """Index-distance breakdown between neighbouring cube vertices (Fig. 6).
-
-    Cubes are sampled uniformly at the finest (hashed) grid resolution; for
-    each cube the 12 edge-adjacent vertex pairs are hashed with the original
-    iNGP hash and with the Morton locality-sensitive hash, and the absolute
-    index distances are histogrammed into the paper's five bins.  The row
-    also reports the average number of 1 KB-row memory requests needed per
-    cube (Sec. III-A: 1.58 vs 4.02).
-    """
-    rng = np.random.default_rng(seed)
-    base_coords = rng.integers(0, resolution, size=(num_cubes, 3))
-    rows = []
-    for hash_fn in hash_fns or (MortonLocalityHash(), OriginalSpatialHash()):
-        stats = index_distance_breakdown(hash_fn, base_coords, table_size)
-        requests = average_row_requests_per_cube(hash_fn, base_coords, table_size)
-        row = {"hash": hash_fn.name}
-        row.update({f"frac_{label}": stats.fractions[label] for label in DISTANCE_BIN_LABELS})
-        row["frac_leq_16"] = stats.fraction_leq_16
-        row["frac_gt_5000"] = stats.fraction_gt_5000
-        row["requests_per_cube"] = requests
-        rows.append(row)
-    return ExperimentResult(
-        experiment_id="Fig. 6",
-        description=(
-            "Index-distance breakdown between neighbouring cube vertices "
-            "(Morton vs original hash)"
-        ),
-        rows=rows,
-        notes=(
-            "Paper: Morton keeps 82% of neighbour distances <=16 entries and none "
-            ">5000, needing 1.58 row requests/cube; the original hash keeps only "
-            "55.4% <=16, 22.7% >5000 and needs 4.02."
-        ),
-    )
 
 
 @register_experiment(
@@ -96,5 +50,41 @@ def fig06_experiment(
     seed: int,
     hashes: str,
 ) -> ExperimentResult:
+    """Index-distance breakdown between neighbouring cube vertices (Fig. 6).
+
+    Cubes are sampled uniformly at the finest (hashed) grid resolution; for
+    each cube the 12 edge-adjacent vertex pairs are hashed with each compared
+    hash function (by default the original iNGP hash and the Morton
+    locality-sensitive hash), and the absolute index distances are
+    histogrammed into the paper's five bins.  The row also reports the
+    average number of 1 KB-row memory requests needed per cube (Sec. III-A:
+    1.58 vs 4.02).
+    """
     fns = tuple(get_hash_function(name) for name in hashes.split(",") if name.strip())
-    return run_fig06.__wrapped__(num_cubes, table_size, resolution, seed, hash_fns=fns)
+    if not fns:
+        raise ValueError("hashes must name at least one hash function")
+    rng = np.random.default_rng(seed)
+    base_coords = rng.integers(0, resolution, size=(num_cubes, 3))
+    rows = []
+    for hash_fn in fns:
+        stats = index_distance_breakdown(hash_fn, base_coords, table_size)
+        requests = average_row_requests_per_cube(hash_fn, base_coords, table_size)
+        row = {"hash": hash_fn.name}
+        row.update({f"frac_{label}": stats.fractions[label] for label in DISTANCE_BIN_LABELS})
+        row["frac_leq_16"] = stats.fraction_leq_16
+        row["frac_gt_5000"] = stats.fraction_gt_5000
+        row["requests_per_cube"] = requests
+        rows.append(row)
+    return ExperimentResult(
+        experiment_id="Fig. 6",
+        description=(
+            "Index-distance breakdown between neighbouring cube vertices "
+            "(Morton vs original hash)"
+        ),
+        rows=rows,
+        notes=(
+            "Paper: Morton keeps 82% of neighbour distances <=16 entries and none "
+            ">5000, needing 1.58 row requests/cube; the original hash keeps only "
+            "55.4% <=16, 22.7% >5000 and needs 4.02."
+        ),
+    )

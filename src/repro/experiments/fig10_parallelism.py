@@ -12,13 +12,20 @@ from ..core.parallelism import (
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import INGPWorkloadModel
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig10"]
+__all__ = ["fig10_experiment"]
 
 
-@legacy_entry_point("fig10")
-def run_fig10(num_banks: int = 16, workload: INGPWorkloadModel | None = None) -> ExperimentResult:
+@register_experiment(
+    "fig10",
+    paper_ref="Fig. 10",
+    title="Inter-bank data movement of the three parallelism plans",
+    params=(
+        ParamSpec("num_banks", int, 16, help="active NMP banks"),
+    ),
+)
+def fig10_experiment(ctx: SimulationContext, *, num_banks: int) -> ExperimentResult:
     """Inter-bank data movement per training iteration for three plans.
 
     Compares the paper's heterogeneous plan (parameter parallelism for
@@ -26,7 +33,9 @@ def run_fig10(num_banks: int = 16, workload: INGPWorkloadModel | None = None) ->
     all-parameter-parallel ablations, broken down by the four movement
     categories of Fig. 10.  The heterogeneous plan should move the least.
     """
-    workload = workload or INGPWorkloadModel()
+    if num_banks <= 0:
+        raise ValueError("num_banks must be positive")
+    workload = INGPWorkloadModel()
     rows = []
     for plan in (heterogeneous_plan(), all_data_parallel_plan(), all_parameter_parallel_plan()):
         traffic = analyze_plan(plan, workload, num_banks=num_banks)
@@ -47,17 +56,3 @@ def run_fig10(num_banks: int = 16, workload: INGPWorkloadModel | None = None) ->
             "restricts gradient partial sums to the tiny MLPs."
         ),
     )
-
-
-@register_experiment(
-    "fig10",
-    paper_ref="Fig. 10",
-    title="Inter-bank data movement of the three parallelism plans",
-    params=(
-        ParamSpec("num_banks", int, 16, help="active NMP banks"),
-    ),
-)
-def fig10_experiment(ctx: SimulationContext, *, num_banks: int) -> ExperimentResult:
-    if num_banks <= 0:
-        raise ValueError("num_banks must be positive")
-    return run_fig10.__wrapped__(num_banks)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from ..core.codesign import SCENE_DIFFICULTY, AlgorithmConfig, InstantNeRFSystem
+from ..core.codesign import SCENE_DIFFICULTY, AlgorithmConfig
 from ..gpu.specs import TX2, XNX
 from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig11", "PAPER_RANGES"]
+__all__ = ["fig11_experiment", "PAPER_RANGES"]
 
 #: Paper-reported ranges across the eight scenes.
 PAPER_RANGES = {
@@ -19,58 +19,6 @@ PAPER_RANGES = {
     ("XNX", "energy"): (46.4, 103.7),
     ("TX2", "energy"): (172.9, 420.3),
 }
-
-
-@legacy_entry_point("fig11")
-def run_fig11(
-    system: InstantNeRFSystem | None = None,
-    scenes: tuple[str, ...] | None = None,
-    use_measured_gpu_time: bool = True,
-    *,
-    context: SimulationContext | None = None,
-) -> ExperimentResult:
-    """Per-scene speedup and energy-efficiency improvement over TX2 and XNX.
-
-    The accelerator runs the Instant-NeRF algorithm (Morton hash + ray-first
-    streaming) with the heterogeneous inter-bank parallelism plan; the GPU
-    baselines run iNGP.  By default the GPU side uses the paper's measured
-    per-scene-average training times (Table I) scaled by per-scene
-    difficulty; set ``use_measured_gpu_time=False`` to use the roofline model
-    for both sides.
-    """
-    if system is None:
-        if context is not None:
-            system = context.system(AlgorithmConfig.instant_nerf())
-        else:
-            system = InstantNeRFSystem(AlgorithmConfig.instant_nerf())
-    scenes = scenes or tuple(SCENE_DIFFICULTY)
-    rows = []
-    for scene in scenes:
-        row: dict = {"scene": scene}
-        for gpu in (TX2, XNX):
-            comparisons = system.compare_against(
-                gpu, [scene], use_measured_gpu_time=use_measured_gpu_time
-            )
-            comparison = comparisons[0]
-            row[f"speedup_vs_{gpu.name}"] = comparison.speedup
-            row[f"energy_improvement_vs_{gpu.name}"] = comparison.energy_efficiency_improvement
-        rows.append(row)
-    summary = {"scene": "AVERAGE"}
-    for key in rows[0]:
-        if key == "scene":
-            continue
-        summary[key] = sum(row[key] for row in rows) / len(rows)
-    rows.append(summary)
-    return ExperimentResult(
-        experiment_id="Fig. 11",
-        description="Instant-NeRF accelerator speedup and energy-efficiency vs TX2/XNX, per scene",
-        rows=rows,
-        notes=(
-            "Paper ranges: 109.5x-266.1x (TX2) and 22.0x-49.3x (XNX) speedup; "
-            "172.9x-420.3x (TX2) and "
-            "46.4x-103.7x (XNX) energy-efficiency improvement."
-        ),
-    )
 
 
 @register_experiment(
@@ -106,6 +54,15 @@ def fig11_experiment(
     probe_samples: int,
     measured_gpu: bool,
 ) -> ExperimentResult:
+    """Per-scene speedup and energy-efficiency improvement over TX2 and XNX.
+
+    The accelerator runs the evaluated algorithm (by default Instant-NeRF:
+    Morton hash + ray-first streaming) with the heterogeneous inter-bank
+    parallelism plan; the GPU baselines run iNGP.  By default the GPU side
+    uses the paper's measured per-scene-average training times (Table I)
+    scaled by per-scene difficulty; ``measured_gpu=False`` uses the roofline
+    model for both sides.
+    """
     if hash in ("morton", "morton-locality"):
         algorithm = AlgorithmConfig.instant_nerf()
     elif hash in ("original", "ingp-prime-xor"):
@@ -128,4 +85,27 @@ def fig11_experiment(
         probe_samples=probe_samples,
     )
     system = ctx.system(algorithm, grid, trace)
-    return run_fig11.__wrapped__(system, scenes, measured_gpu, context=ctx)
+    rows = []
+    for name in scenes:
+        row: dict = {"scene": name}
+        for gpu in (TX2, XNX):
+            comparison = system.compare_against(gpu, [name], use_measured_gpu_time=measured_gpu)[0]
+            row[f"speedup_vs_{gpu.name}"] = comparison.speedup
+            row[f"energy_improvement_vs_{gpu.name}"] = comparison.energy_efficiency_improvement
+        rows.append(row)
+    summary = {"scene": "AVERAGE"}
+    for key in rows[0]:
+        if key == "scene":
+            continue
+        summary[key] = sum(row[key] for row in rows) / len(rows)
+    rows.append(summary)
+    return ExperimentResult(
+        experiment_id="Fig. 11",
+        description="Instant-NeRF accelerator speedup and energy-efficiency vs TX2/XNX, per scene",
+        rows=rows,
+        notes=(
+            "Paper ranges: 109.5x-266.1x (TX2) and 22.0x-49.3x (XNX) speedup; "
+            "172.9x-420.3x (TX2) and "
+            "46.4x-103.7x (XNX) energy-efficiency improvement."
+        ),
+    )

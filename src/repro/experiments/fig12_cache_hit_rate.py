@@ -11,124 +11,16 @@ uncached baseline (scratchpad only, today's pipeline behaviour).
 
 from __future__ import annotations
 
-from ..accel.scratchpad import Scratchpad
-from ..core.hashing import HashFunction, MortonLocalityHash, get_hash_function
+from ..core.hashing import get_hash_function
 from ..core.streaming import StreamingOrder
 from ..mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig12"]
-
-
-@legacy_entry_point("fig12_cache_hit_rate")
-def run_fig12(
-    grid_config: HashGridConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    cache_sizes_kb: tuple[int, ...] = (16, 64, 256, 1024),
-    *,
-    context: SimulationContext | None = None,
-    hash_fn: HashFunction | None = None,
-    order: StreamingOrder = StreamingOrder.RAY_FIRST,
-    ways: int = 4,
-    line_bytes: int = 64,
-    mshr_latency: int = 4,
-    prefetch: str = "stride",
-    prefetch_degree: int = 1,
-    scratchpad: Scratchpad | None = None,
-    dram: str = "lpddr4-2400",
-    timing: bool = True,
-) -> ExperimentResult:
-    """Hit rate and DRAM-traffic reduction vs SRAM cache size.
-
-    For every cache size, the full multi-level lookup stream of one training
-    batch is pushed through the scratchpad L0 window, the stream prefetcher
-    and the set-associative cache; the surviving lines are compared (and,
-    with ``timing=True``, serviced through the DRAM timing model at the
-    finest level) against the uncached baseline in which every L0-surviving
-    line request reaches DRAM.  With a shared context the per-level
-    corner-index streams are reused from the locality experiments.
-    """
-    grid = grid_config or HashGridConfig(num_levels=16)
-    trace = trace_config or TraceConfig(num_rays=128, points_per_ray=64, seed=0)
-    ctx = context if context is not None else SimulationContext()
-    hash_fn = hash_fn or MortonLocalityHash()
-    if not cache_sizes_kb:
-        raise ValueError("cache_sizes_kb must name at least one cache size")
-    timing_level = grid.num_levels - 1
-
-    rows = []
-    for size_kb in cache_sizes_kb:
-        hierarchy = CacheHierarchy(
-            cache=CacheConfig(
-                capacity_bytes=int(size_kb) * 1024,
-                line_bytes=line_bytes,
-                ways=ways,
-                mshr_latency=mshr_latency,
-            ),
-            prefetcher=PrefetcherConfig(policy=prefetch, degree=prefetch_degree),
-            scratchpad=scratchpad,
-        )
-        accesses = hits_l0 = demand = hits = coalesced = 0
-        fills = useful = dram_lines = writebacks = 0
-        energy_j = 0.0
-        for level in range(grid.num_levels):
-            stats = ctx.filtered_stream(hierarchy, grid, trace, hash_fn, order, level).stats
-            accesses += stats.l0_accesses
-            hits_l0 += stats.l0_hits
-            demand += stats.cache.demand_accesses
-            hits += stats.cache.hits
-            coalesced += stats.cache.coalesced
-            fills += stats.cache.prefetch_fills
-            useful += stats.cache.prefetch_useful
-            dram_lines += stats.cache.dram_line_fetches
-            writebacks += stats.cache.writebacks
-            energy_j += stats.sram_energy_j
-        row = {
-            "cache_kb": int(size_kb),
-            "sets": hierarchy.cache.num_sets,
-            "ways": ways,
-            "line_bytes": line_bytes,
-            "prefetch": prefetch,
-            "l0_hit_rate": hits_l0 / accesses if accesses else 0.0,
-            "cache_hit_rate": hits / demand if demand else 0.0,
-            "overall_hit_rate": (hits_l0 + hits + coalesced) / accesses if accesses else 0.0,
-            "uncached_dram_lines": demand,
-            "dram_lines": dram_lines,
-            "traffic_reduction": demand / dram_lines if dram_lines else float("inf"),
-            "prefetch_accuracy": useful / fills if fills else 0.0,
-            "writebacks": writebacks,
-            "sram_energy_uj": energy_j * 1e6,
-        }
-        if timing:
-            cached = ctx.hierarchy_serviced_batch(
-                dram, hierarchy, grid, trace, hash_fn, order, timing_level, stage="misses"
-            )
-            baseline = ctx.hierarchy_serviced_batch(
-                dram, hierarchy, grid, trace, hash_fn, order, timing_level, stage="demand"
-            )
-            row["dram_cycles"] = cached["total_cycles"]
-            row["uncached_dram_cycles"] = baseline["total_cycles"]
-            row["dram_time_reduction"] = (
-                baseline["total_cycles"] / cached["total_cycles"]
-                if cached["total_cycles"]
-                else float("inf")
-            )
-        rows.append(row)
-    return ExperimentResult(
-        experiment_id="Fig. 12 (ext.)",
-        description="SRAM cache hit rate and DRAM-traffic reduction vs cache size",
-        rows=rows,
-        notes=(
-            f"Hash {hash_fn.name}, {order.value} order, MSHR latency {mshr_latency}, "
-            f"prefetch {prefetch}(degree {prefetch_degree}); baseline is the uncached pipeline "
-            "in which every scratchpad-surviving line request reaches DRAM"
-            + (f"; DRAM timing on {dram} at the finest level." if timing else ".")
-        ),
-    )
+__all__ = ["fig12_experiment"]
 
 
 @register_experiment(
@@ -189,6 +81,16 @@ def fig12_experiment(
     dram: str,
     timing: bool,
 ) -> ExperimentResult:
+    """Hit rate and DRAM-traffic reduction vs SRAM cache size.
+
+    For every cache size, the full multi-level lookup stream of one training
+    batch is pushed through the scratchpad L0 window, the stream prefetcher
+    and the set-associative cache; the surviving lines are compared (and,
+    with ``timing=True``, serviced through the DRAM timing model at the
+    finest level) against the uncached baseline in which every L0-surviving
+    line request reaches DRAM.  With a shared context the per-level
+    corner-index streams are reused from the locality experiments.
+    """
     sizes = tuple(int(v) for v in cache_kb.split(",") if v.strip())
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError(f"cache_kb must be positive integers, got {cache_kb!r}")
@@ -200,18 +102,75 @@ def fig12_experiment(
         scene=scene or None,
         probe_samples=probe_samples,
     )
-    return run_fig12.__wrapped__(
-        grid,
-        trace,
-        sizes,
-        context=ctx,
-        hash_fn=get_hash_function(hash),
-        order=StreamingOrder(order),
-        ways=ways,
-        line_bytes=line_bytes,
-        mshr_latency=mshr,
-        prefetch=prefetch,
-        prefetch_degree=prefetch_degree,
-        dram=dram,
-        timing=timing,
+    hash_fn = get_hash_function(hash)
+    stream_order = StreamingOrder(order)
+    timing_level = grid.num_levels - 1
+
+    rows = []
+    for size_kb in sizes:
+        hierarchy = CacheHierarchy(
+            cache=CacheConfig(
+                capacity_bytes=size_kb * 1024,
+                line_bytes=line_bytes,
+                ways=ways,
+                mshr_latency=mshr,
+            ),
+            prefetcher=PrefetcherConfig(policy=prefetch, degree=prefetch_degree),
+        )
+        accesses = hits_l0 = demand = hits = coalesced = 0
+        fills = useful = dram_lines = writebacks = 0
+        energy_j = 0.0
+        for level in range(grid.num_levels):
+            stats = ctx.filtered_stream(hierarchy, grid, trace, hash_fn, stream_order, level).stats
+            accesses += stats.l0_accesses
+            hits_l0 += stats.l0_hits
+            demand += stats.cache.demand_accesses
+            hits += stats.cache.hits
+            coalesced += stats.cache.coalesced
+            fills += stats.cache.prefetch_fills
+            useful += stats.cache.prefetch_useful
+            dram_lines += stats.cache.dram_line_fetches
+            writebacks += stats.cache.writebacks
+            energy_j += stats.sram_energy_j
+        row = {
+            "cache_kb": size_kb,
+            "sets": hierarchy.cache.num_sets,
+            "ways": ways,
+            "line_bytes": line_bytes,
+            "prefetch": prefetch,
+            "l0_hit_rate": hits_l0 / accesses if accesses else 0.0,
+            "cache_hit_rate": hits / demand if demand else 0.0,
+            "overall_hit_rate": (hits_l0 + hits + coalesced) / accesses if accesses else 0.0,
+            "uncached_dram_lines": demand,
+            "dram_lines": dram_lines,
+            "traffic_reduction": demand / dram_lines if dram_lines else float("inf"),
+            "prefetch_accuracy": useful / fills if fills else 0.0,
+            "writebacks": writebacks,
+            "sram_energy_uj": energy_j * 1e6,
+        }
+        if timing:
+            cached = ctx.hierarchy_serviced_batch(
+                dram, hierarchy, grid, trace, hash_fn, stream_order, timing_level, stage="misses"
+            )
+            baseline = ctx.hierarchy_serviced_batch(
+                dram, hierarchy, grid, trace, hash_fn, stream_order, timing_level, stage="demand"
+            )
+            row["dram_cycles"] = cached["total_cycles"]
+            row["uncached_dram_cycles"] = baseline["total_cycles"]
+            row["dram_time_reduction"] = (
+                baseline["total_cycles"] / cached["total_cycles"]
+                if cached["total_cycles"]
+                else float("inf")
+            )
+        rows.append(row)
+    return ExperimentResult(
+        experiment_id="Fig. 12 (ext.)",
+        description="SRAM cache hit rate and DRAM-traffic reduction vs cache size",
+        rows=rows,
+        notes=(
+            f"Hash {hash_fn.name}, {order} order, MSHR latency {mshr}, "
+            f"prefetch {prefetch}(degree {prefetch_degree}); baseline is the uncached pipeline "
+            "in which every scratchpad-surviving line request reaches DRAM"
+            + (f"; DRAM timing on {dram} at the finest level." if timing else ".")
+        ),
     )

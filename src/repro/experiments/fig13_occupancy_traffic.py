@@ -17,117 +17,16 @@ from __future__ import annotations
 import dataclasses
 
 from ..accel.nmp import NMPAccelerator
-from ..core.hashing import HashFunction, MortonLocalityHash, get_hash_function
+from ..core.hashing import get_hash_function
 from ..core.streaming import StreamingOrder
 from ..nerf.encoding import HashGridConfig
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..workloads.steps import INGPWorkloadModel
 from ..workloads.traces import TraceConfig
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_fig13"]
-
-
-@legacy_entry_point("fig13_occupancy_traffic")
-def run_fig13(
-    grid_config: HashGridConfig | None = None,
-    trace_config: TraceConfig | None = None,
-    resolutions: tuple[int, ...] = (16, 32, 64),
-    *,
-    context: SimulationContext | None = None,
-    hash_fn: HashFunction | None = None,
-    order: StreamingOrder = StreamingOrder.RAY_FIRST,
-    termination: float = 1e-3,
-    dram: str = "lpddr4-2400",
-    row_bytes: int = 1024,
-    timing: bool = True,
-) -> ExperimentResult:
-    """Sample and DRAM-traffic reduction vs occupancy-grid resolution.
-
-    For every grid resolution, the scene trace's lookup stream is pruned by
-    the occupancy grid (plus transmittance termination when ``termination``
-    is positive) and compared against the dense stream: surviving samples,
-    row requests at the finest hash-grid level and — with ``timing=True`` —
-    DRAM timing-model cycles.  The surviving sample fraction also drives an
-    occupancy-aware :class:`~repro.accel.nmp.NMPAccelerator` to estimate the
-    per-scene training-time reduction.  With a shared context the dense
-    streams are reused across resolutions (and from other experiments).
-    """
-    grid = grid_config or HashGridConfig(num_levels=16)
-    trace = trace_config or TraceConfig(num_rays=128, points_per_ray=64, seed=0, scene="mic")
-    if trace.scene is None:
-        raise ValueError("fig13 requires a scene trace (TraceConfig.scene)")
-    if not resolutions:
-        raise ValueError("resolutions must name at least one occupancy-grid resolution")
-    ctx = context if context is not None else SimulationContext()
-    hash_fn = hash_fn or MortonLocalityHash()
-    level = grid.num_levels - 1
-    dense = trace.dense()
-    dense_samples = trace.num_rays * trace.points_per_ray
-    dense_rows = ctx.row_requests(grid, dense, hash_fn, order, level, row_bytes)
-    dense_batch = ctx.serviced_batch(dram, grid, dense, hash_fn, level) if timing else None
-    workload = INGPWorkloadModel(grid_config=grid)
-    dense_training_s = NMPAccelerator(workload=workload).scene_training_seconds()
-
-    rows = []
-    for resolution in resolutions:
-        pruned = dataclasses.replace(
-            trace,
-            occupancy=True,
-            occupancy_resolution=int(resolution),
-            occupancy_termination=termination,
-        )
-        occ_grid = ctx.occupancy_grid(pruned)
-        kept = int(ctx.occupancy_mask(pruned).sum())
-        if kept == 0:
-            raise ValueError(
-                f"occupancy grid at resolution {resolution} prunes every sample of "
-                f"scene {trace.scene!r}; lower occupancy_threshold or the resolution"
-            )
-        fraction = kept / dense_samples
-        pruned_rows = ctx.row_requests(grid, pruned, hash_fn, order, level, row_bytes)
-        occ_training_s = NMPAccelerator(
-            workload=workload, sample_fraction=fraction
-        ).scene_training_seconds()
-        row = {
-            "resolution": int(resolution),
-            "occupied_fraction": occ_grid.occupancy_fraction(),
-            "dense_samples": dense_samples,
-            "pruned_samples": kept,
-            "sample_reduction": dense_samples / kept,
-            "dense_row_requests": dense_rows,
-            "pruned_row_requests": pruned_rows,
-            "row_request_reduction": dense_rows / pruned_rows if pruned_rows else float("inf"),
-            "training_time_reduction": dense_training_s / occ_training_s,
-        }
-        if timing:
-            pruned_batch = ctx.serviced_batch(dram, grid, pruned, hash_fn, level)
-            row["dense_dram_cycles"] = dense_batch["total_cycles"]
-            row["pruned_dram_cycles"] = pruned_batch["total_cycles"]
-            row["dram_traffic_reduction"] = (
-                dense_batch["total_requests"] / pruned_batch["total_requests"]
-                if pruned_batch["total_requests"]
-                else float("inf")
-            )
-            row["dram_time_reduction"] = (
-                dense_batch["total_cycles"] / pruned_batch["total_cycles"]
-                if pruned_batch["total_cycles"]
-                else float("inf")
-            )
-        rows.append(row)
-    return ExperimentResult(
-        experiment_id="Fig. 13 (ext.)",
-        description="Occupancy-grid sample and DRAM-traffic reduction vs grid resolution",
-        rows=rows,
-        notes=(
-            f"Scene {trace.scene}, hash {hash_fn.name}, {order.value} order, "
-            f"transmittance termination {termination:g}; row requests and DRAM timing at the "
-            f"finest level ({grid.resolutions[level]}^3)"
-            + (f" on {dram}" if timing else "")
-            + "; training time via the occupancy-aware NMP accelerator model."
-        ),
-    )
+__all__ = ["fig13_experiment"]
 
 
 @register_experiment(
@@ -182,9 +81,22 @@ def fig13_experiment(
     dram: str,
     timing: bool,
 ) -> ExperimentResult:
+    """Sample and DRAM-traffic reduction vs occupancy-grid resolution.
+
+    For every grid resolution, the scene trace's lookup stream is pruned by
+    the occupancy grid (plus transmittance termination when ``termination``
+    is positive) and compared against the dense stream: surviving samples,
+    row requests at the finest hash-grid level and — with ``timing=True`` —
+    DRAM timing-model cycles.  The surviving sample fraction also drives an
+    occupancy-aware :class:`~repro.accel.nmp.NMPAccelerator` to estimate the
+    per-scene training-time reduction.  With a shared context the dense
+    streams are reused across resolutions (and from other experiments).
+    """
     sizes = tuple(int(v) for v in resolutions.split(",") if v.strip())
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError(f"resolutions must be positive integers, got {resolutions!r}")
+    if not scene:
+        raise ValueError("fig13 requires a scene trace (the scene parameter)")
     grid = HashGridConfig(num_levels=levels)
     trace = TraceConfig(
         num_rays=rays,
@@ -194,15 +106,71 @@ def fig13_experiment(
         probe_samples=probe_samples,
         occupancy_threshold=threshold,
     )
-    return run_fig13.__wrapped__(
-        grid,
-        trace,
-        sizes,
-        context=ctx,
-        hash_fn=get_hash_function(hash),
-        order=StreamingOrder(order),
-        termination=termination,
-        dram=dram,
-        row_bytes=row_bytes,
-        timing=timing,
+    hash_fn = get_hash_function(hash)
+    stream_order = StreamingOrder(order)
+    level = grid.num_levels - 1
+    dense = trace.dense()
+    dense_samples = trace.num_rays * trace.points_per_ray
+    dense_rows = ctx.row_requests(grid, dense, hash_fn, stream_order, level, row_bytes)
+    dense_batch = ctx.serviced_batch(dram, grid, dense, hash_fn, level) if timing else None
+    workload = INGPWorkloadModel(grid_config=grid)
+    dense_training_s = NMPAccelerator(workload=workload).scene_training_seconds()
+
+    rows = []
+    for resolution in sizes:
+        pruned = dataclasses.replace(
+            trace,
+            occupancy=True,
+            occupancy_resolution=resolution,
+            occupancy_termination=termination,
+        )
+        occ_grid = ctx.occupancy_grid(pruned)
+        kept = int(ctx.occupancy_mask(pruned).sum())
+        if kept == 0:
+            raise ValueError(
+                f"occupancy grid at resolution {resolution} prunes every sample of "
+                f"scene {scene!r}; lower occupancy_threshold or the resolution"
+            )
+        fraction = kept / dense_samples
+        pruned_rows = ctx.row_requests(grid, pruned, hash_fn, stream_order, level, row_bytes)
+        occ_training_s = NMPAccelerator(
+            workload=workload, sample_fraction=fraction
+        ).scene_training_seconds()
+        row = {
+            "resolution": resolution,
+            "occupied_fraction": occ_grid.occupancy_fraction(),
+            "dense_samples": dense_samples,
+            "pruned_samples": kept,
+            "sample_reduction": dense_samples / kept,
+            "dense_row_requests": dense_rows,
+            "pruned_row_requests": pruned_rows,
+            "row_request_reduction": dense_rows / pruned_rows if pruned_rows else float("inf"),
+            "training_time_reduction": dense_training_s / occ_training_s,
+        }
+        if timing:
+            pruned_batch = ctx.serviced_batch(dram, grid, pruned, hash_fn, level)
+            row["dense_dram_cycles"] = dense_batch["total_cycles"]
+            row["pruned_dram_cycles"] = pruned_batch["total_cycles"]
+            row["dram_traffic_reduction"] = (
+                dense_batch["total_requests"] / pruned_batch["total_requests"]
+                if pruned_batch["total_requests"]
+                else float("inf")
+            )
+            row["dram_time_reduction"] = (
+                dense_batch["total_cycles"] / pruned_batch["total_cycles"]
+                if pruned_batch["total_cycles"]
+                else float("inf")
+            )
+        rows.append(row)
+    return ExperimentResult(
+        experiment_id="Fig. 13 (ext.)",
+        description="Occupancy-grid sample and DRAM-traffic reduction vs grid resolution",
+        rows=rows,
+        notes=(
+            f"Scene {scene}, hash {hash_fn.name}, {order} order, "
+            f"transmittance termination {termination:g}; row requests and DRAM timing at the "
+            f"finest level ({grid.resolutions[level]}^3)"
+            + (f" on {dram}" if timing else "")
+            + "; training time via the occupancy-aware NMP accelerator model."
+        ),
     )

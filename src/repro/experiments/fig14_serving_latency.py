@@ -25,7 +25,7 @@ from ..serve.scheduler import AdmissionConfig, BatchPolicy, SchedulerConfig
 from ..serve.workload import ServeWorkloadConfig
 from .runner import ExperimentResult
 
-__all__ = ["run_fig14", "admission_from_name"]
+__all__ = ["fig14_experiment", "admission_from_name"]
 
 #: Named admission-control presets the experiment sweeps.
 ADMISSION_PRESETS = ("none", "depth", "token")
@@ -45,61 +45,6 @@ def admission_from_name(
     if name == "token":
         return AdmissionConfig(tokens_per_us=tokens_per_us, bucket_capacity=bucket_capacity)
     raise ValueError(f"admission must be one of {ADMISSION_PRESETS}, got {name!r}")
-
-
-def run_fig14(
-    workload: ServeWorkloadConfig,
-    cost: ServiceCostConfig,
-    loads: tuple[float, ...],
-    policies: tuple[BatchPolicy, ...],
-    admissions: tuple[str, ...],
-    *,
-    context: SimulationContext,
-    max_batch_points: int = 4096,
-    batch_window_us: float = 0.0,
-    timeout_us: float = 0.0,
-    queue_depth: int = 64,
-    tokens_per_us: float = 0.05,
-    bucket_capacity: float = 8.0,
-) -> ExperimentResult:
-    """Serving-latency sweep over offered load x policy x admission control."""
-    if not loads or any(load <= 0.0 for load in loads):
-        raise ValueError(f"loads must be positive, got {loads!r}")
-    rows = []
-    for policy in policies:
-        for admission_name in admissions:
-            scheduler = SchedulerConfig(
-                policy=policy,
-                max_batch_points=max_batch_points,
-                batch_window_us=batch_window_us,
-                timeout_us=timeout_us,
-                admission=admission_from_name(
-                    admission_name, queue_depth, tokens_per_us, bucket_capacity
-                ),
-            )
-            for load in loads:
-                summary = context.serving_summary(workload.at_load(load), scheduler, cost)
-                row: dict = {
-                    "policy": policy.value,
-                    "admission": admission_name,
-                    "offered_load": load,
-                    "tenants": workload.num_tenants,
-                    "process": workload.process,
-                }
-                row.update(summary)
-                rows.append(row)
-    return ExperimentResult(
-        experiment_id="Fig. 14 (ext.)",
-        description="Multi-tenant serving latency under open-loop load on the NMP system",
-        rows=rows,
-        notes=(
-            f"{workload.num_tenants} tenants x {workload.requests_per_tenant} requests, "
-            f"{workload.process} arrivals (mean gap {workload.mean_interarrival_us} us at "
-            f"unit load); batches coalesced to {max_batch_points} points and priced by "
-            f"hierarchy+DRAM ({cost.dram}) + NMP forward compute; offered load is time "
-            "compression of one seeded arrival sequence."
-        ),
-    )
 
 
 @register_experiment(
@@ -142,6 +87,7 @@ def run_fig14(
     ),
     tags=("serving", "extension", "latency"),
     provides=("serving_summary",),
+    smoke={"requests": 24, "grid_levels": 2, "loads": "0.5,4.0"},
 )
 def fig14_experiment(
     ctx: SimulationContext,
@@ -168,11 +114,14 @@ def fig14_experiment(
     grid_levels: int,
     dtype: str,
 ) -> ExperimentResult:
+    """Serving-latency sweep over offered load x policy x admission control."""
     load_values = tuple(float(v) for v in loads.split(",") if v.strip())
     policy_values = tuple(BatchPolicy(p.strip()) for p in policies.split(",") if p.strip())
     admission_values = tuple(a.strip() for a in admission.split(",") if a.strip())
     if not load_values or not policy_values or not admission_values:
         raise ValueError("loads, policies and admission must each name at least one value")
+    if any(load <= 0.0 for load in load_values):
+        raise ValueError(f"loads must be positive, got {loads!r}")
     for name in admission_values:
         if name not in ADMISSION_PRESETS:
             raise ValueError(f"admission must be one of {ADMISSION_PRESETS}, got {name!r}")
@@ -187,17 +136,38 @@ def fig14_experiment(
         seed=seed,
     )
     cost = ServiceCostConfig(dram=dram, cache_kb=cache_kb, grid_levels=grid_levels, dtype=dtype)
-    return run_fig14(
-        workload,
-        cost,
-        load_values,
-        policy_values,
-        admission_values,
-        context=ctx,
-        max_batch_points=batch_points,
-        batch_window_us=window_us,
-        timeout_us=timeout_us,
-        queue_depth=queue_depth,
-        tokens_per_us=tokens_per_us,
-        bucket_capacity=bucket_capacity,
+    rows = []
+    for policy in policy_values:
+        for admission_name in admission_values:
+            scheduler = SchedulerConfig(
+                policy=policy,
+                max_batch_points=batch_points,
+                batch_window_us=window_us,
+                timeout_us=timeout_us,
+                admission=admission_from_name(
+                    admission_name, queue_depth, tokens_per_us, bucket_capacity
+                ),
+            )
+            for load in load_values:
+                summary = ctx.serving_summary(workload.at_load(load), scheduler, cost)
+                row: dict = {
+                    "policy": policy.value,
+                    "admission": admission_name,
+                    "offered_load": load,
+                    "tenants": workload.num_tenants,
+                    "process": workload.process,
+                }
+                row.update(summary)
+                rows.append(row)
+    return ExperimentResult(
+        experiment_id="Fig. 14 (ext.)",
+        description="Multi-tenant serving latency under open-loop load on the NMP system",
+        rows=rows,
+        notes=(
+            f"{workload.num_tenants} tenants x {workload.requests_per_tenant} requests, "
+            f"{workload.process} arrivals (mean gap {workload.mean_interarrival_us} us at "
+            f"unit load); batches coalesced to {batch_points} points and priced by "
+            f"hierarchy+DRAM ({cost.dram}) + NMP forward compute; offered load is time "
+            "compression of one seeded arrival sequence."
+        ),
     )

@@ -5,13 +5,17 @@ from __future__ import annotations
 from ..gpu.specs import ALL_GPUS
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_tab01"]
+__all__ = ["tab01_experiment"]
 
 
-@legacy_entry_point("tab01")
-def run_tab01() -> ExperimentResult:
+@register_experiment(
+    "tab01",
+    paper_ref="Table I",
+    title="Specifications of the considered GPUs",
+)
+def tab01_experiment(ctx: SimulationContext) -> ExperimentResult:
     """Reproduce Table I (device-specification summary)."""
     rows = []
     for gpu in ALL_GPUS.values():
@@ -39,12 +43,3 @@ def run_tab01() -> ExperimentResult:
             "and energy models."
         ),
     )
-
-
-@register_experiment(
-    "tab01",
-    paper_ref="Table I",
-    title="Specifications of the considered GPUs",
-)
-def tab01_experiment(ctx: SimulationContext) -> ExperimentResult:
-    return run_tab01.__wrapped__()

@@ -5,9 +5,9 @@ from __future__ import annotations
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import register_experiment
 from ..workloads.steps import INGPWorkloadModel
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_tab02", "PAPER_TABLE2_MB"]
+__all__ = ["tab02_experiment", "PAPER_TABLE2_MB"]
 
 #: Paper Table II values in MB (for a 256 K-point batch).
 PAPER_TABLE2_MB = {
@@ -18,11 +18,14 @@ PAPER_TABLE2_MB = {
 }
 
 
-@legacy_entry_point("tab02")
-def run_tab02(workload: INGPWorkloadModel | None = None) -> ExperimentResult:
+@register_experiment(
+    "tab02",
+    paper_ref="Table II",
+    title="Parameter/data sizes of iNGP's bottleneck steps",
+)
+def tab02_experiment(ctx: SimulationContext) -> ExperimentResult:
     """Reproduce Table II from the workload model (derived, not transcribed)."""
-    workload = workload or INGPWorkloadModel()
-    derived = workload.table2()
+    derived = INGPWorkloadModel().table2()
     rows = []
     for step, sizes in derived.items():
         paper = PAPER_TABLE2_MB[step]
@@ -45,12 +48,3 @@ def run_tab02(workload: INGPWorkloadModel | None = None) -> ExperimentResult:
         rows=rows,
         notes="Derived from L=16, T=2^19, F=2, FP16 storage, 256K points/iteration.",
     )
-
-
-@register_experiment(
-    "tab02",
-    paper_ref="Table II",
-    title="Parameter/data sizes of iNGP's bottleneck steps",
-)
-def tab02_experiment(ctx: SimulationContext) -> ExperimentResult:
-    return run_tab02.__wrapped__()

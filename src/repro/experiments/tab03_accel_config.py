@@ -3,28 +3,31 @@
 from __future__ import annotations
 
 from ..accel.microarch import BankMicroarchitecture
-from ..dram.spec import DRAMSpec, LPDDR4_2400, get_dram_spec
+from ..dram.spec import get_dram_spec
 from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
-from .runner import ExperimentResult, legacy_entry_point
+from .runner import ExperimentResult
 
-__all__ = ["run_tab03"]
+__all__ = ["tab03_experiment"]
 
 
-@legacy_entry_point("tab03")
-def run_tab03(
-    microarch: BankMicroarchitecture | None = None,
-    dram_spec: DRAMSpec | None = None,
-    dram_name: str = "LPDDR4-2400",
-) -> ExperimentResult:
+@register_experiment(
+    "tab03",
+    paper_ref="Table III",
+    title="Accelerator configuration, area and power",
+    params=(
+        ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec to list the organization of"),
+    ),
+)
+def tab03_experiment(ctx: SimulationContext, *, dram: str) -> ExperimentResult:
     """Reproduce Table III (configuration) and the Sec. V-C area/power numbers."""
-    microarch = microarch or BankMicroarchitecture()
-    spec = dram_spec or LPDDR4_2400
+    microarch = BankMicroarchitecture()
+    spec = get_dram_spec(dram)
     org = spec.organization
     timing = spec.timing
     summary = microarch.summary()
     rows = [
-        {"parameter": "DRAM type", "value": dram_name},
+        {"parameter": "DRAM type", "value": dram.upper()},
         {"parameter": "Total capacity (GB)", "value": org.total_capacity_bytes / 1024**3},
         {"parameter": "I/O interface (bits)", "value": org.io_width_bits},
         {"parameter": "Channels", "value": org.num_channels},
@@ -57,15 +60,3 @@ def run_tab03(
             "at 28 nm / 200 MHz."
         ),
     )
-
-
-@register_experiment(
-    "tab03",
-    paper_ref="Table III",
-    title="Accelerator configuration, area and power",
-    params=(
-        ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec to list the organization of"),
-    ),
-)
-def tab03_experiment(ctx: SimulationContext, *, dram: str) -> ExperimentResult:
-    return run_tab03.__wrapped__(dram_spec=get_dram_spec(dram), dram_name=dram.upper())

@@ -30,9 +30,10 @@ from ..pipeline.context import SimulationContext
 from ..pipeline.registry import ParamSpec, register_experiment
 from ..scenes.dataset import DatasetConfig
 from ..scenes.library import SCENE_NAMES
-from .runner import ExperimentResult, legacy_entry_point
+from ..workloads.traces import TraceConfig
+from .runner import ExperimentResult
 
-__all__ = ["run_tab05", "PrecisionRunConfig", "train_precision_on_scene"]
+__all__ = ["tab05_experiment", "PrecisionRunConfig", "train_precision_on_scene"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,48 @@ def train_precision_on_scene(
     return float(trainer.evaluate())
 
 
-@legacy_entry_point("tab05_psnr_precision")
-def run_tab05(
-    config: PrecisionRunConfig | None = None,
+@register_experiment(
+    "tab05_psnr_precision",
+    paper_ref="Table V (extension)",
+    title="PSNR vs hash-table precision, with modeled memory-system gains",
+    params=(
+        ParamSpec("scenes", str, "lego", help="comma list of scenes"),
+        ParamSpec(
+            "dtypes", str, "fp64,fp32,fp16,int8", help="comma list of table precisions to compare"
+        ),
+        ParamSpec("image_size", int, 32, help="rendered image resolution"),
+        ParamSpec("num_train_views", int, 6, help="training views per scene"),
+        ParamSpec("iterations", int, 100, help="training iterations"),
+        ParamSpec("rays_per_batch", int, 160, help="rays per training batch"),
+        ParamSpec("samples_per_ray", int, 32, help="samples per ray"),
+        ParamSpec("seed", int, 0, help="training seed"),
+        ParamSpec("hash", str, "morton", help="hash function of the modeled streams"),
+        ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the modeled streams"),
+    ),
+    tags=("slow", "training", "memory"),
+    provides=("dataset", "trained_field"),
+    smoke={
+        "dtypes": "fp32,int8",
+        "image_size": 12,
+        "num_train_views": 2,
+        "iterations": 8,
+        "rays_per_batch": 48,
+        "samples_per_ray": 12,
+    },
+)
+def tab05_experiment(
+    ctx: SimulationContext,
     *,
-    context: SimulationContext | None = None,
+    scenes: str,
+    dtypes: str,
+    image_size: int,
+    num_train_views: int,
+    iterations: int,
+    rays_per_batch: int,
+    samples_per_ray: int,
+    seed: int,
+    hash: str,
+    dram: str,
 ) -> ExperimentResult:
     """PSNR vs precision per scene, with the modeled memory-system gains.
 
@@ -136,13 +174,27 @@ def run_tab05(
     paper-scale lookup stream at that entry width, each as a reduction
     factor against fp64.
     """
-    from ..workloads.traces import TraceConfig
-
-    config = config or PrecisionRunConfig()
-    ctx = context if context is not None else SimulationContext()
-    for dtype in config.dtypes:
+    scene_list = tuple(s.strip() for s in scenes.split(",") if s.strip())
+    for scene in scene_list:
+        if scene not in SCENE_NAMES:
+            known = ", ".join(SCENE_NAMES)
+            raise KeyError(f"unknown scene {scene!r}; available: {known}")
+    dtype_list = tuple(d.strip() for d in dtypes.split(",") if d.strip())
+    for dtype in dtype_list:
         precision.validate_precision(dtype)
-
+    config = replace(
+        PrecisionRunConfig(),
+        scenes=scene_list,
+        dtypes=dtype_list,
+        image_size=image_size,
+        num_train_views=num_train_views,
+        iterations=iterations,
+        rays_per_batch=rays_per_batch,
+        samples_per_ray=samples_per_ray,
+        seed=seed,
+        hash=hash,
+        dram=dram,
+    )
     hash_fn = get_hash_function(config.hash)
     model_grid = HashGridConfig()
     level = model_grid.num_levels - 1
@@ -205,62 +257,3 @@ def run_tab05(
             "use the paper-scale grid with the scene-agnostic default trace."
         ),
     )
-
-
-@register_experiment(
-    "tab05_psnr_precision",
-    paper_ref="Table V (extension)",
-    title="PSNR vs hash-table precision, with modeled memory-system gains",
-    params=(
-        ParamSpec("scenes", str, "lego", help="comma list of scenes"),
-        ParamSpec(
-            "dtypes", str, "fp64,fp32,fp16,int8", help="comma list of table precisions to compare"
-        ),
-        ParamSpec("image_size", int, 32, help="rendered image resolution"),
-        ParamSpec("num_train_views", int, 6, help="training views per scene"),
-        ParamSpec("iterations", int, 100, help="training iterations"),
-        ParamSpec("rays_per_batch", int, 160, help="rays per training batch"),
-        ParamSpec("samples_per_ray", int, 32, help="samples per ray"),
-        ParamSpec("seed", int, 0, help="training seed"),
-        ParamSpec("hash", str, "morton", help="hash function of the modeled streams"),
-        ParamSpec("dram", str, "lpddr4-2400", help="DRAM spec servicing the modeled streams"),
-    ),
-    tags=("slow", "training", "memory"),
-    provides=("dataset", "trained_field"),
-)
-def tab05_experiment(
-    ctx: SimulationContext,
-    *,
-    scenes: str,
-    dtypes: str,
-    image_size: int,
-    num_train_views: int,
-    iterations: int,
-    rays_per_batch: int,
-    samples_per_ray: int,
-    seed: int,
-    hash: str,
-    dram: str,
-) -> ExperimentResult:
-    scene_list = tuple(s.strip() for s in scenes.split(",") if s.strip())
-    for scene in scene_list:
-        if scene not in SCENE_NAMES:
-            known = ", ".join(SCENE_NAMES)
-            raise KeyError(f"unknown scene {scene!r}; available: {known}")
-    dtype_list = tuple(d.strip() for d in dtypes.split(",") if d.strip())
-    for dtype in dtype_list:
-        precision.validate_precision(dtype)
-    config = replace(
-        PrecisionRunConfig(),
-        scenes=scene_list,
-        dtypes=dtype_list,
-        image_size=image_size,
-        num_train_views=num_train_views,
-        iterations=iterations,
-        rays_per_batch=rays_per_batch,
-        samples_per_ray=samples_per_ray,
-        seed=seed,
-        hash=hash,
-        dram=dram,
-    )
-    return run_tab05.__wrapped__(config, context=ctx)

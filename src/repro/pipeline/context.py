@@ -8,8 +8,8 @@ rendered datasets, trained fields, GPU profiles and serviced DRAM batches —
 keyed by a canonical hash of the configuration objects that produced them.
 Running the full experiment suite
 (or a parameter sweep) through one context therefore computes each artifact
-once, where the legacy ``run_*`` entry points rebuild them from scratch on
-every call.
+once, where running each experiment on a fresh context rebuilds them from
+scratch every time.
 
 The cache is thread-safe (sweeps run cells on a thread pool): the first
 caller of a key installs a :class:`concurrent.futures.Future` and computes;
@@ -56,7 +56,6 @@ from ..workloads.traces import (
     TraceConfig,
     generate_batch_points,
     level_lookup_indices,
-    lookup_addresses,
     occupancy_grid_for_trace,
     occupancy_point_mask,
 )
@@ -387,34 +386,6 @@ class SimulationContext:
         self, grid: HashGridConfig, trace: TraceConfig, hash_fn: HashFunction, level: int
     ) -> tuple[Any, ...]:
         return ("level_indices", config_key(grid), config_key(trace.dense()), hash_fn.name, level)
-
-    def level_addresses(
-        self,
-        grid: HashGridConfig,
-        trace: TraceConfig,
-        hash_fn: HashFunction,
-        level: int,
-        base_address: int = 0,
-    ) -> NDArray[Any]:
-        """Flattened byte-address trace of one level's lookups."""
-        key = (
-            "level_addresses",
-            config_key(grid),
-            config_key(trace),
-            hash_fn.name,
-            level,
-            base_address,
-        )
-        return self.memoize(
-            key,
-            lambda: lookup_addresses(
-                self.level_indices(grid, trace, hash_fn, level),
-                level,
-                grid,
-                trace.entry_bytes,
-                base_address,
-            ),
-        )
 
     # ------------------------------------------------------- request streams
     def _nerf_stream(

@@ -5,7 +5,9 @@ callable plus the declarative description of its parameter space (scene,
 hash function, DRAM spec, trace shape, ...).  Experiment modules register
 themselves with the :func:`register_experiment` decorator; the CLI, the
 sweep engine and the suite runner all resolve experiments through this
-registry instead of hard-wiring ``run_*`` imports.
+registry; :meth:`ExperimentSpec.run` is the one entry point of every
+experiment, and the declared :class:`ParamSpec` defaults are its only
+defaults.
 
 Parameter values are JSON-serializable primitives (strings/ints/floats/
 bools); runners convert them to the domain objects (``HashGridConfig``,
@@ -15,8 +17,9 @@ cell of a sweep, and every artifact on disk, fully described by plain data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .context import SimulationContext
 
@@ -86,6 +89,9 @@ class ExperimentSpec:
     #: The suite runner schedules producers of an artifact before consumers.
     provides: tuple[str, ...] = ()
     consumes: tuple[str, ...] = ()
+    #: Parameter overrides that shrink the experiment to smoke scale
+    #: (``report --fast``); empty when the defaults are already cheap.
+    smoke: Mapping[str, Any] = field(default_factory=lambda: MappingProxyType({}), hash=False)
 
     def param(self, name: str) -> ParamSpec:
         for p in self.params:
@@ -97,7 +103,7 @@ class ExperimentSpec:
     def defaults(self) -> dict[str, Any]:
         return {p.name: p.default for p in self.params}
 
-    def bind(self, overrides: dict[str, Any] | None = None) -> dict[str, Any]:
+    def bind(self, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
         """Validated full parameter assignment (defaults + overrides)."""
         bound = self.defaults()
         for name, raw in (overrides or {}).items():
@@ -122,17 +128,20 @@ def register_experiment(
     tags: tuple[str, ...] = (),
     provides: tuple[str, ...] = (),
     consumes: tuple[str, ...] = (),
+    smoke: Mapping[str, Any] | None = None,
 ) -> Callable[[Callable[..., ExperimentResult]], Callable[..., ExperimentResult]]:
     """Register the decorated runner as the experiment ``name``.
 
     The runner signature is ``runner(ctx, **params) -> ExperimentResult``
-    with every declared parameter accepted as a keyword argument.
+    with every declared parameter accepted as a keyword argument.  ``smoke``
+    names the parameter overrides of the experiment's smoke-scale run; they
+    are validated against ``params`` here, at registration.
     """
 
     def decorator(runner: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
         if name in _REGISTRY:
             raise ValueError(f"experiment {name!r} is already registered")
-        _REGISTRY[name] = ExperimentSpec(
+        spec = ExperimentSpec(
             name=name,
             paper_ref=paper_ref,
             title=title,
@@ -141,7 +150,10 @@ def register_experiment(
             tags=tuple(tags),
             provides=tuple(provides),
             consumes=tuple(consumes),
+            smoke=MappingProxyType(dict(smoke or {})),
         )
+        spec.bind(spec.smoke)
+        _REGISTRY[name] = spec
         return runner
 
     return decorator
@@ -215,7 +227,7 @@ def _schedule(specs: list[ExperimentSpec]) -> list[ExperimentSpec]:
 def run_suite(
     names: list[str] | None = None,
     context: SimulationContext | None = None,
-    overrides: dict[str, dict[str, Any]] | None = None,
+    overrides: Mapping[str, Mapping[str, Any]] | None = None,
 ) -> dict[str, ExperimentResult]:
     """Run a set of experiments against one shared context.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs import get_metrics, get_tracer
-from .cost import ServiceCostConfig, ServiceCostModel
+from .cost import ServiceCostModel
 from .scheduler import BatchQueue, QueueEntry, SchedulerConfig
 from .workload import RenderRequest, ServeWorkloadConfig, generate_requests
 
@@ -177,17 +177,17 @@ def _shed_record(entry: QueueEntry, shed_us: float) -> RequestRecord:
 def simulate_serving(
     workload: ServeWorkloadConfig,
     scheduler: SchedulerConfig,
-    cost: ServiceCostConfig | None = None,
+    *,
     model: ServiceCostModel | None = None,
 ) -> ServingResult:
     """Run one open-loop serving simulation end to end.
 
-    ``model`` may be passed to reuse one :class:`ServiceCostModel` (and its
-    accelerator-derived constants) across runs; it must have been built from
-    ``cost`` (or the default config) — reuse never changes results because
-    the model is stateless across batches.
+    ``model`` prices the batches (default: a :class:`ServiceCostModel` of the
+    default :class:`~repro.serve.cost.ServiceCostConfig`); pass one to reuse its
+    accelerator-derived constants across runs — reuse never changes results
+    because the model is stateless across batches.
     """
-    cost_model = model if model is not None else ServiceCostModel(cost)
+    cost_model = model if model is not None else ServiceCostModel()
     tracer = get_tracer()
     with tracer.span("serve.simulate", "serve") as run_span:
         requests = generate_requests(workload)
@@ -312,7 +312,7 @@ def simulate_serving(
 
 def simulate_serving_reference(
     workload: ServeWorkloadConfig,
-    cost: ServiceCostConfig | None = None,
+    *,
     model: ServiceCostModel | None = None,
 ) -> ServingResult:
     """Per-request FIFO oracle: no coalescing, no admission, no shedding.
@@ -323,7 +323,7 @@ def simulate_serving_reference(
     and an exact oracle: with ``max_batch_points`` of one request and no
     admission control, :func:`simulate_serving` must reproduce it.
     """
-    cost_model = model if model is not None else ServiceCostModel(cost)
+    cost_model = model if model is not None else ServiceCostModel()
     requests = generate_requests(workload)
     records: list[RequestRecord] = []
     batches: list[BatchRecord] = []

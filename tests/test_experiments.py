@@ -9,25 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    ExperimentResult,
-    QualityRunConfig,
-    format_series,
-    format_table,
-    run_fig01,
-    run_fig04,
-    run_fig06,
-    run_fig07,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_tab01,
-    run_tab02,
-    run_tab03,
-    run_tab04,
-)
-from repro.nerf.encoding import HashGridConfig
-from repro.workloads.traces import TraceConfig
+from repro.experiments import ExperimentResult, format_series, format_table
+from repro.pipeline import get_experiment
+
+
+def run(name: str, **params) -> ExperimentResult:
+    return get_experiment(name).run(**params)
 
 
 def test_experiment_result_helpers():
@@ -78,7 +65,7 @@ def test_experiment_result_csv_includes_all_columns():
 
 
 def test_fig01_training_time_shape():
-    result = run_fig01.__wrapped__()
+    result = run("fig01")
     devices = {row["device"]: row for row in result.rows}
     assert devices["XNX"]["modelled_s_per_scene"] > 5 * devices["2080Ti"]["modelled_s_per_scene"]
     assert devices["XNX"]["bottleneck_fraction"] > 0.6
@@ -86,7 +73,7 @@ def test_fig01_training_time_shape():
 
 
 def test_fig04_utilization_shape():
-    result = run_fig04.__wrapped__()
+    result = run("fig04")
     assert len(result.rows) == 6
     by_kernel = {row["kernel"]: row for row in result.rows}
     # The hash-table kernels dominate and are firmly DRAM-bandwidth bound.
@@ -101,7 +88,7 @@ def test_fig04_utilization_shape():
 
 
 def test_fig06_index_distance_shape():
-    result = run_fig06.__wrapped__(num_cubes=2048)
+    result = run("fig06", num_cubes=2048)
     by_hash = {row["hash"]: row for row in result.rows}
     morton, original = by_hash["morton-locality"], by_hash["ingp-prime-xor"]
     assert morton["frac_leq_16"] > original["frac_leq_16"]
@@ -112,10 +99,7 @@ def test_fig06_index_distance_shape():
 
 
 def test_fig07_locality_shape():
-    result = run_fig07.__wrapped__(
-        grid_config=HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024),
-        trace_config=TraceConfig(num_rays=48, points_per_ray=48),
-    )
+    result = run("fig07", levels=8, rays=48, points_per_ray=48, scene="")
     improvements = result.column("effective_bw_improvement")
     assert len(improvements) == 8
     assert all(i > 1.5 for i in improvements)
@@ -125,11 +109,7 @@ def test_fig07_locality_shape():
 
 
 def test_fig09_bank_conflicts_shape():
-    result = run_fig09.__wrapped__(
-        subarray_counts=(1, 4, 16),
-        grid_config=HashGridConfig(num_levels=8, table_size=2**14, max_resolution=1024),
-        trace_config=TraceConfig(num_rays=32, points_per_ray=32),
-    )
+    result = run("fig09", subarrays="1,4,16", levels=8, rays=32, points_per_ray=32, scene="")
     for row in result.rows:
         assert row["conflicts_1sa"] >= row["conflicts_4sa"] >= row["conflicts_16sa"]
         assert row["norm_1sa"] <= 1.0 + 1e-9
@@ -139,14 +119,14 @@ def test_fig09_bank_conflicts_shape():
 
 
 def test_fig10_parallelism_shape():
-    result = run_fig10.__wrapped__()
+    result = run("fig10")
     totals = {row["plan"]: row["total_mb"] for row in result.rows}
     assert totals["heterogeneous"] < totals["all-data-parallel"]
     assert totals["heterogeneous"] < totals["all-parameter-parallel"]
 
 
 def test_fig11_speedup_energy_shape():
-    result = run_fig11.__wrapped__()
+    result = run("fig11", trace_scene="", points_per_ray=32)
     average = result.rows[-1]
     assert average["scene"] == "AVERAGE"
     assert average["speedup_vs_XNX"] > 10.0
@@ -156,13 +136,13 @@ def test_fig11_speedup_energy_shape():
 
 
 def test_tab01_tab02_tab03_contents():
-    tab1 = run_tab01.__wrapped__()
+    tab1 = run("tab01")
     assert {row["device"] for row in tab1.rows} == {"XNX", "TX2", "2080Ti", "QuestPro"}
-    tab2 = run_tab02.__wrapped__()
+    tab2 = run("tab02")
     for row in tab2.rows:
         if row["paper_param_mb"] > 0:
             assert row["param_mb"] == pytest.approx(row["paper_param_mb"], rel=0.3)
-    tab3 = run_tab03.__wrapped__()
+    tab3 = run("tab03")
     values = {row["parameter"]: row["value"] for row in tab3.rows}
     assert values["INT32 PEs per bank"] == 256
     assert values["Area per bank (mm^2, modelled)"] == pytest.approx(3.6, rel=0.05)
@@ -172,11 +152,10 @@ def test_tab01_tab02_tab03_contents():
 @pytest.mark.slow
 def test_tab04_psnr_smoke():
     """Tiny Table IV run: only two hash-grid methods, one scene, a few iterations."""
-    config = QualityRunConfig(
-        scenes=("lego",), image_size=24, num_train_views=4, num_test_views=1,
-        iterations=40, rays_per_batch=96, samples_per_ray=24,
+    result = run(
+        "tab04", scenes="lego", methods="ingp,instant-nerf", image_size=24,
+        num_train_views=4, iterations=40, rays_per_batch=96, samples_per_ray=24,
     )
-    result = run_tab04.__wrapped__(config, methods=("ingp", "instant-nerf"))
     by_method = {row["method"]: row["avg_psnr"] for row in result.rows}
     assert np.isfinite(by_method["ingp"]) and np.isfinite(by_method["instant-nerf"])
     assert by_method["ingp"] > 8.0

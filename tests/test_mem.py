@@ -43,6 +43,7 @@ from repro.mem import (
 )
 from repro.nerf.encoding import HashGridConfig
 from repro.pipeline.context import SimulationContext
+from repro.pipeline.registry import get_experiment
 from repro.streams import RequestStream, StreamKind
 from repro.workloads.traces import TraceConfig, generate_batch_points, level_lookup_indices
 
@@ -332,17 +333,6 @@ def test_hierarchy_filters_traffic_and_reports_energy():
     np.testing.assert_array_equal(filtered.merged_lines[mask], filtered.dram_lines)
 
 
-def test_bad_stream_shapes_are_rejected():
-    """The deprecated bare-ndarray shim still validates shapes (and warns)."""
-    hierarchy = CacheHierarchy()
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.arange(10), accesses_per_point=8)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.arange(16), accesses_per_point=0)
-    with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-        hierarchy.filter_stream(np.array([-4, 0, 0, 0, 0, 0, 0, 0]))
-
-
 # -------------------------------------------------------- pipeline context
 def test_context_memoizes_filtered_streams():
     ctx = SimulationContext()
@@ -419,12 +409,10 @@ def test_comparison_model_memory_system_summary():
 
 # ------------------------------------------------------------- experiment
 def test_fig12_experiment_reports_traffic_reduction():
-    from repro.experiments import run_fig12
-
     ctx = SimulationContext()
-    grid = HashGridConfig(num_levels=6)
-    trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0)
-    result = run_fig12.__wrapped__(grid, trace, (16, 256), context=ctx, timing=True)
+    spec = get_experiment("fig12_cache_hit_rate")
+    params = dict(levels=6, rays=32, points_per_ray=32, seed=0, scene="")
+    result = spec.run(ctx, cache_kb="16,256", **params)
     assert [row["cache_kb"] for row in result.rows] == [16, 256]
     for row in result.rows:
         assert 0.0 <= row["cache_hit_rate"] <= 1.0
@@ -443,4 +431,4 @@ def test_fig12_experiment_reports_traffic_reduction():
     )
     assert demand_runs == 1
     with pytest.raises(ValueError):
-        run_fig12.__wrapped__(grid, trace, (), context=ctx)
+        spec.run(ctx, cache_kb="", **params)

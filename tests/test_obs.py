@@ -10,12 +10,15 @@ across executors and fresh-vs-resume).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.accel.nmp import NMPAccelerator
+from repro.core.hashing import MortonLocalityHash
+from repro.core.streaming import StreamingOrder
 from repro.dram.system import DRAMSystem
 from repro.mem.hierarchy import CacheHierarchy
 from repro.nerf.encoding import HashGridConfig
@@ -33,9 +36,12 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.pipeline.context import SimulationContext
+from repro.pipeline.registry import get_experiment
 from repro.pipeline.store import ArtifactStore
-from repro.streams import RequestStream
+from repro.streams import RequestStream, StreamKind
 from repro.pipeline.sweep import ProcessSweepExecutor, sweep
+from repro.workloads.traces import TraceConfig
 
 FIG07_GRID = {"hash": ["morton", "original"]}
 FIG07_EXTRA = {"rays": "16", "points_per_ray": "16"}
@@ -260,6 +266,31 @@ def test_trace_covers_five_subsystems(tmp_path, tiny_dataset):
 
     path = write_chrome_trace(tmp_path / "five.json", tracer.events())
     assert validate_chrome_trace(json.loads(path.read_text())) == len(tracer.events())
+
+
+def test_memory_flow_counters_balance():
+    """Every L0-surviving access is a cache hit, miss or MSHR-coalesced merge,
+    and every DRAM line fetch is a demand miss or a prefetch fill."""
+    _, metrics = obs.enable(wall_clock=False)
+    get_experiment("fig12_cache_hit_rate").run(
+        cache_kb="16,64", levels=4, rays=16, points_per_ray=16, scene="", timing=False
+    )
+    grid, trace = HashGridConfig(num_levels=4), TraceConfig(num_rays=16, points_per_ray=16)
+    stream = SimulationContext().request_stream(
+        grid, trace, MortonLocalityHash(), StreamingOrder.RAY_FIRST, 3
+    )
+    CacheHierarchy().filter_stream(replace(stream, kind=StreamKind.WRITE))
+
+    counters = metrics.snapshot()["counters"]
+    demand = counters["mem.l0_accesses"] - counters["mem.l0_hits"]
+    assert demand == (
+        counters["mem.cache_hits"] + counters["mem.cache_misses"] + counters["mem.cache_coalesced"]
+    )
+    assert counters["mem.dram_line_fetches"] == (
+        counters["mem.cache_misses"] + counters["mem.prefetch_fills"]
+    )
+    # Both new counters take part, so neither identity holds vacuously.
+    assert counters["mem.cache_coalesced"] > 0 and counters["mem.prefetch_fills"] > 0
 
 
 # ------------------------------------------------------------- determinism

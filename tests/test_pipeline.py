@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash, get_hash_function
 from repro.dram.spec import DDR4_3200, LPDDR4_2400, get_dram_spec
-from repro.experiments import run_fig07
 from repro.nerf.encoding import HashGridConfig
 from repro.pipeline import (
     SimulationContext,
@@ -22,6 +21,7 @@ from repro.pipeline import (
     sweep,
 )
 from repro.pipeline.cli import main
+from repro.pipeline.registry import ParamSpec, register_experiment
 from repro.workloads.traces import TraceConfig
 
 EXPECTED_SPECS = (
@@ -65,17 +65,6 @@ def test_run_experiment_produces_expected_result():
     result = run_experiment("fig06", num_cubes=512)
     assert result.experiment_id == "Fig. 6"
     assert {row["hash"] for row in result.rows} == {"morton-locality", "ingp-prime-xor"}
-
-
-def test_registered_run_matches_legacy_entry_point():
-    """The registry path and the legacy run_* wrapper agree exactly."""
-    trace = TraceConfig(num_rays=32, points_per_ray=32, seed=0, scene="lego")
-    with pytest.warns(DeprecationWarning, match="run_fig07"):
-        legacy = run_fig07(HashGridConfig(num_levels=8), trace)
-    registered = run_experiment(
-        "fig07", levels=8, rays=32, points_per_ray=32, scene="lego"
-    )
-    assert legacy.rows == registered.rows
 
 
 def test_suite_scheduler_orders_producers_before_consumers():
@@ -303,6 +292,28 @@ def test_cli_report_subset(tmp_path, capsys):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["experiments"] == ["tab01", "tab02", "tab03"]
     assert (tmp_path / "tab01.json").exists()
+
+
+def test_cli_report_fast_runs_the_declared_smoke_preset(tmp_path):
+    spec = get_experiment("fig14_serving_latency")
+    assert spec.smoke and spec.bind(spec.smoke) != spec.defaults()
+    code = main(["report", "--fast", "--experiments", spec.name, "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    expected = spec.run(**spec.smoke)
+    assert (tmp_path / f"{spec.name}.json").read_text() == expected.to_json() + "\n"
+
+
+def test_smoke_presets_are_validated_at_registration():
+    with pytest.raises(KeyError, match="no parameter 'rayz'"):
+        register_experiment(
+            "smoke-typo-test",
+            paper_ref="-",
+            title="typo",
+            params=(ParamSpec("rays", int, 8),),
+            smoke={"rayz": 2},
+        )(lambda ctx, rays: None)
+    with pytest.raises(KeyError):
+        get_experiment("smoke-typo-test")
 
 
 def test_cli_report_single_format_writes_csv_only(tmp_path):

@@ -29,6 +29,7 @@ from repro.nerf.encoding import HashGridConfig, HashGridEncoding
 from repro.nerf.mlp import MLP
 from repro.nerf.trainer import TrainerConfig
 from repro.pipeline.context import SimulationContext, config_key
+from repro.pipeline.registry import get_experiment
 from repro.core.streaming import StreamingOrder
 from repro.workloads.traces import TraceConfig
 
@@ -219,17 +220,13 @@ def test_narrower_entries_shrink_row_requests_monotonically():
 
 @pytest.mark.slow
 def test_tab05_smoke_monotone_reductions():
-    from repro.experiments.tab05_psnr_precision import PrecisionRunConfig, run_tab05
-
-    config = replace(
-        PrecisionRunConfig(),
+    result = get_experiment("tab05_psnr_precision").run(
         image_size=12,
         num_train_views=2,
         iterations=4,
         rays_per_batch=32,
         samples_per_ray=8,
     )
-    result = run_tab05.__wrapped__(config)
     assert [row["dtype"] for row in result.rows] == list(precision.PRECISIONS)
     for metric in ("entry_bytes", "row_requests", "dram_cycles", "sram_energy_j"):
         series = [row[metric] for row in result.rows]

@@ -261,6 +261,14 @@ def test_simulator_matches_per_request_reference_oracle(cost_model):
     ]
 
 
+def test_cost_model_is_keyword_only(cost_model):
+    """A model passed positionally is rejected up front, not misread as config."""
+    with pytest.raises(TypeError):
+        simulate_serving(SMALL_WORKLOAD, SchedulerConfig(), cost_model)
+    with pytest.raises(TypeError):
+        simulate_serving_reference(SMALL_WORKLOAD, cost_model)
+
+
 def test_simulation_is_replayable_and_work_conserving(cost_model):
     scheduler = SchedulerConfig(batch_window_us=5.0)
     first = simulate_serving(SMALL_WORKLOAD, scheduler, model=cost_model)

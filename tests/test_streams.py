@@ -10,11 +10,8 @@ Covers the PR's acceptance points:
   pruning yields exact IR subsets of the dense stream;
 * ``RequestStream`` round-trips through the :class:`ArtifactStore` (npz
   payload with a typed JSON metadata document);
-* fig07/fig09/fig12 artifacts are byte-identical to values recomputed with
-  the pre-redesign ndarray kernels;
-* the deprecated shims (ndarray ``filter_stream``, the corner-index
-  row-request helper, the legacy ``run_*`` wrappers) warn once and return
-  identical results;
+* fig07/fig09 artifacts are byte-identical to values recomputed with the
+  pre-redesign ndarray kernels;
 * the embedding front-end: determinism, Zipfian skew, bag sorting, and the
   ``fig15_embedding_locality`` experiment that runs the shared analyses on
   embedding traffic with no analysis-code changes.
@@ -23,7 +20,6 @@ Covers the PR's acceptance points:
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -36,13 +32,10 @@ from repro.core.streaming import (
     memory_requests_for_stream,
     point_order,
     row_requests_for_stream,
-    row_requests_from_corner_indices,
     stream_register_hit_rate,
     stream_sharing_run_length,
 )
 from repro.dram.system import DRAMSystem
-from repro.experiments import run_fig07, run_fig09, run_fig10, run_fig12, run_fig15
-from repro.mem import CacheConfig, CacheHierarchy, PrefetcherConfig
 from repro.nerf.encoding import HashGridConfig
 from repro.pipeline import ArtifactStore, SimulationContext
 from repro.pipeline.registry import get_experiment
@@ -64,6 +57,8 @@ from repro.workloads.traces import HashTraceGenerator, TraceConfig, lookup_addre
 GRID = HashGridConfig(num_levels=4)
 TRACE = TraceConfig(num_rays=16, points_per_ray=8, seed=3)
 EMB = EmbeddingTraceConfig(num_tables=2, table_rows=512, batch_size=32, pooling_factor=4)
+#: Registry parameters that reproduce GRID and TRACE (``scene=""``: random rays).
+TRACE_PARAMS = dict(levels=4, rays=16, points_per_ray=8, seed=3, scene="")
 
 
 def small_stream(**overrides):
@@ -217,9 +212,7 @@ def test_warm_store_reproduces_fig09_byte_identically(tmp_path):
 def test_fig07_row_requests_match_the_legacy_kernel():
     ctx = SimulationContext()
     baseline, optimized = OriginalSpatialHash(), MortonLocalityHash()
-    result = run_fig07.__wrapped__(
-        GRID, TRACE, context=ctx, baseline_hash=baseline, optimized_hash=optimized
-    )
+    result = get_experiment("fig07").run(ctx, **TRACE_PARAMS)
     points = ctx.batch_points(TRACE).reshape(-1, 3)
     for row in result.rows:
         level = row["level"]
@@ -238,7 +231,9 @@ def test_fig07_row_requests_match_the_legacy_kernel():
 def test_fig09_conflicts_match_the_legacy_level_indices_path():
     ctx = SimulationContext()
     hash_fn = MortonLocalityHash()
-    result = run_fig09.__wrapped__((1, 4), GRID, TRACE, 16, context=ctx, hash_fn=hash_fn)
+    result = get_experiment("fig09").run(
+        ctx, subarrays="1,4", parallel_points=16, **TRACE_PARAMS
+    )
     for row in result.rows:
         indices = ctx.level_indices(GRID, TRACE, hash_fn, row["level"]).ravel()
         for subarrays in (1, 4):
@@ -253,27 +248,6 @@ def test_fig09_conflicts_match_the_legacy_level_indices_path():
             assert row[f"conflicts_{subarrays}sa"] == stats.bank_conflicts
 
 
-def test_fig12_filtering_matches_the_legacy_ndarray_path():
-    ctx = SimulationContext()
-    hash_fn = MortonLocalityHash()
-    hierarchy = CacheHierarchy(cache=CacheConfig(capacity_bytes=16 * 1024))
-    for level in range(GRID.num_levels):
-        via_ir = ctx.filtered_stream(
-            hierarchy, GRID, TRACE, hash_fn, StreamingOrder.RAY_FIRST, level
-        )
-        addresses = lookup_addresses(
-            ctx.level_indices(GRID, TRACE, hash_fn, level), level, GRID, TRACE.entry_bytes
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = hierarchy.filter_stream(
-                addresses, accesses_per_point=8, entry_bytes=TRACE.entry_bytes
-            )
-        assert via_ir.stats == legacy.stats
-        assert np.array_equal(via_ir.dram_lines, legacy.dram_lines)
-        assert np.array_equal(via_ir.demand_lines, legacy.demand_lines)
-
-
 def test_dram_service_batch_accepts_streams_and_matches_addresses():
     gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
     stream = gen.stream(0)
@@ -282,41 +256,6 @@ def test_dram_service_batch_accepts_streams_and_matches_addresses():
     via_addresses = DRAMSystem().service_batch(stream.addresses % capacity, size_bytes=32)
     assert via_stream.total_cycles == via_addresses.total_cycles
     assert via_stream.row_hits == via_addresses.row_hits
-
-
-# -------------------------------------------------------------- deprecations
-def test_corner_index_row_request_shim_warns_and_matches_the_ir():
-    ctx = SimulationContext()
-    points = ctx.batch_points(TRACE).reshape(-1, 3)
-    gen = HashTraceGenerator(GRID, TRACE, MortonLocalityHash())
-    stream = gen.stream(2)
-    with pytest.warns(DeprecationWarning, match="row_requests_for_stream"):
-        legacy = row_requests_from_corner_indices(points, stream.indices, 2, GRID)
-    assert legacy == row_requests_for_stream(stream)
-
-
-def test_filter_stream_ndarray_path_warns_stream_path_does_not():
-    hierarchy = CacheHierarchy(cache=CacheConfig(capacity_bytes=4096))
-    stream = HashTraceGenerator(GRID, TRACE, MortonLocalityHash()).stream(0)
-    with pytest.warns(DeprecationWarning, match="RequestStream"):
-        hierarchy.filter_stream(stream.addresses)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        hierarchy.filter_stream(stream)
-
-
-def test_legacy_run_wrappers_warn_and_return_identical_results():
-    with pytest.warns(DeprecationWarning, match="python -m repro run fig10"):
-        legacy = run_fig10(num_banks=4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        direct = run_fig10.__wrapped__(num_banks=4)
-    assert legacy.to_json() == direct.to_json()
-    # the registered path never touches the deprecated wrapper
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        registered = get_experiment("fig10").run(num_banks=4)
-    assert registered.to_json() == direct.to_json()
 
 
 # ---------------------------------------------------------------- embeddings
@@ -379,7 +318,9 @@ def test_algorithm_locality_from_request_stream():
 # -------------------------------------------------------------------- fig15
 def test_fig15_runs_the_shared_analyses_on_embedding_traffic():
     ctx = SimulationContext()
-    result = run_fig15.__wrapped__(EMB, (1, 4), context=ctx, timing=True)
+    result = get_experiment("fig15_embedding_locality").run(
+        ctx, tables=2, table_rows=512, batch=32, pooling=4, subarrays="1,4"
+    )
     assert len(result.rows) == EMB.num_tables
     expected = {
         "table", "bag_sharing_run_length", "register_hit_rate",
