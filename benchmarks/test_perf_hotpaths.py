@@ -187,10 +187,13 @@ def test_encoding_backward_speedup(paper_grid, paper_points):
 def test_encoding_forward_fused_not_slower(paper_grid, paper_points):
     """Fused multi-level hashing must match the per-level loop and not regress.
 
-    Compares the index/weight engines directly (the embedding gather is
-    identical in both forward paths) on a slice of the batch: full-batch
-    wall times here are dominated by allocator page-fault noise for the
-    ~400 MB of per-call outputs, which would swamp the engine comparison.
+    Compares only the index/weight engines, on a slice of the batch.  The
+    two forward paths also gather and sum differently — ``forward`` uses
+    blocked ``take`` calls and in-order corner adds, ``forward_reference``
+    fancy indexing and ``sum(axis=1)`` — and their bit-identity is pinned in
+    ``tests/test_encoding.py``.  Full-batch wall times here are
+    dominated by allocator page-fault noise for the ~400 MB of per-call
+    outputs, which would swamp the engine comparison.
     """
     rng = np.random.default_rng(1)
     enc = HashGridEncoding(paper_grid, rng=rng)

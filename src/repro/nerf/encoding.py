@@ -19,6 +19,7 @@ The ``*_reference`` oracles stay pure numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -116,16 +117,31 @@ class HashGridConfig:
 class HashGridEncoding:
     """Multi-resolution hash encoding (iNGP Steps (1)-(4)).
 
-    The forward pass implements, per level: hashing of the 8 surrounding cube
-    vertices, embedding lookup, trilinear interpolation, and finally the
-    concatenation across levels.  The backward pass accumulates gradients
-    into the embedding tables with the same trilinear weights.
+    The forward pass hashes the 8 surrounding cube vertices on every level,
+    looks up their embeddings, interpolates trilinearly and concatenates the
+    levels' features.  The backward pass accumulates gradients into the
+    embedding tables with the same trilinear weights.
+
+    All levels share one contiguous ``(sum_l E_l, F)`` :attr:`table` (and a
+    matching :attr:`grad_table`, zeroed in one pass): level ``l`` owns the
+    rows starting at ``row_offsets[l]``, and ``embeddings[l]`` / ``grads[l]``
+    are views of them, so in-place updates through either name reach the
+    other.  Update levels in place; never rebind ``embeddings[l]`` to a
+    fresh array, which would split it from :attr:`table`.
 
     With ``config.dtype == "int8"`` the tables hold quantized codes plus a
     per-level ``(scale, zero_point)`` pair; gathers dequantize to float32 and
     :meth:`backward` refuses to run (int8 tables are inference-only — train
     a float encoding and convert it with :meth:`quantized_int8`).
     """
+
+    #: Points per block of the fused multi-level index pass and of the
+    #: per-level gather.  The block bounds the working set ((L, block) per-axis
+    #: geometry, (block, 8, F) gathered entries) to a few MB so the
+    #: intermediate arrays stay cache/allocator-friendly at paper-scale N; an
+    #: unblocked (L, N, 8, 3) broadcast at N=256K would materialize close to a
+    #: GB of short-lived temporaries.
+    MULTILEVEL_BLOCK = 4096
 
     def __init__(
         self, config: HashGridConfig | None = None, rng: np.random.Generator | None = None
@@ -136,30 +152,34 @@ class HashGridEncoding:
         self._value_dtype = precision.compute_dtype(cfg.dtype)
         self._grad_dtype = np.float64 if cfg.dtype == "fp64" else np.float32
         self._quantized = cfg.dtype == "int8"
-        # iNGP initialises embeddings uniformly in [-1e-4, 1e-4].
-        init = [
-            rng.uniform(
-                -1e-4,
-                1e-4,
-                size=(cfg.level_table_entries(lvl), cfg.features_per_entry),
-            )
-            for lvl in range(cfg.num_levels)
+        # Per-level geometry, fixed by the config.
+        resolutions = cfg.resolutions
+        self._resolutions = xp.asarray(resolutions, dtype=np.float64)[:, None]  # (L, 1)
+        self._max_base = xp.asarray(resolutions, dtype=np.int64)[:, None] - 1  # (L, 1)
+        self._level_entries = [cfg.level_table_entries(lvl) for lvl in range(cfg.num_levels)]
+        self._level_hashes: list[HashFunction] = [
+            cfg.hash_fn if cfg.level_uses_hash(lvl) else DenseGridIndexer(res)
+            for lvl, res in enumerate(resolutions)
         ]
+        starts = [0, *itertools.accumulate(self._level_entries)]
+        #: First row of each level in :attr:`table`, shape ``(L,)``.
+        self.row_offsets = xp.asarray(starts[:-1], dtype=np.int64)
+        shape = (starts[-1], cfg.features_per_entry)
+        self.table = xp.empty(shape, dtype=precision.storage_dtype(cfg.dtype))
+        self.grad_table = xp.zeros(shape, dtype=self._grad_dtype)
+        levels = [slice(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+        self.embeddings: list[np.ndarray] = [self.table[rows] for rows in levels]
+        self.grads: list[np.ndarray] = [self.grad_table[rows] for rows in levels]
         self.scales: list[float] = [1.0] * cfg.num_levels
         self.zero_points: list[float] = [0.0] * cfg.num_levels
-        if self._quantized:
-            self.embeddings: list[np.ndarray] = []
-            for lvl, table in enumerate(init):
-                codes, scale, zero = precision.quantize_int8(table)
-                self.embeddings.append(xp.asarray(codes))
-                self.scales[lvl] = scale
-                self.zero_points[lvl] = zero
-        else:
-            storage = precision.storage_dtype(cfg.dtype)
-            self.embeddings = [xp.asarray(table.astype(storage)) for table in init]
-        self.grads: list[np.ndarray] = [
-            xp.zeros(e.shape, dtype=self._grad_dtype) for e in self.embeddings
-        ]
+        for lvl, emb in enumerate(self.embeddings):
+            # iNGP initialises embeddings uniformly in [-1e-4, 1e-4].
+            init = rng.uniform(-1e-4, 1e-4, size=emb.shape)
+            if self._quantized:
+                codes, self.scales[lvl], self.zero_points[lvl] = precision.quantize_int8(init)
+                emb[...] = xp.asarray(codes)
+            else:
+                emb[...] = xp.asarray(init)
         self._cache: dict | None = None
 
     # ------------------------------------------------------------------ API
@@ -174,11 +194,10 @@ class HashGridEncoding:
         return self.grads
 
     def zero_grad(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
+        self.grad_table[...] = 0.0
 
     def num_parameters(self) -> int:
-        return int(sum(e.size for e in self.embeddings))
+        return int(self.table.size)
 
     def quantized_int8(self, rng: np.random.Generator | None = None) -> HashGridEncoding:
         """Post-training int8 quantization: a new encoding with code tables.
@@ -192,7 +211,7 @@ class HashGridEncoding:
         out = HashGridEncoding(replace(self.config, dtype="int8"), rng=rng)
         for level, emb in enumerate(self.embeddings):
             codes, scale, zero = precision.quantize_int8(xp.asnumpy(emb))
-            out.embeddings[level] = xp.asarray(codes)
+            out.embeddings[level][...] = xp.asarray(codes)
             out.scales[level] = scale
             out.zero_points[level] = zero
         return out
@@ -253,18 +272,11 @@ class HashGridEncoding:
             w = w * xp.where(take_hi == 1, f, 1.0 - f)
         return idx, w.astype(self._value_dtype), base
 
-    #: Points per block of the fused multi-level pass.  The block bounds the
-    #: working set ((L, block, 8, 3) corners and friends) to a few MB so the
-    #: intermediate arrays stay cache/allocator-friendly at paper-scale N;
-    #: an unblocked (L, N, 8, 3) broadcast at N=256K would materialize close
-    #: to a GB of short-lived temporaries and run slower than the level loop.
-    MULTILEVEL_BLOCK = 4096
-
     def multilevel_vertex_indices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hash-table indices and weights for *all* levels in one fused pass.
 
         The per-level geometry (cube bases, fractional offsets, trilinear
-        weights) is a broadcast over a ``(L, block, ...)`` batch, and each
+        weights) is a broadcast over a ``(L, block)`` batch, and each
         level's 8 corner indices come from one incremental
         :meth:`HashFunction.corner_hashes` call on the base vertices — the
         ``(L, N, 8, 3)`` corner expansion of the per-level path is never
@@ -274,86 +286,98 @@ class HashGridEncoding:
         Returns
         -------
         (indices, weights):
-            ``indices`` is ``(L, N, 8)`` int64 and ``weights`` is ``(L, N, 8)``
-            in the encoding's compute dtype (float32 by default).
+            ``indices`` is ``(L, N, 8)`` int64 per-level table indices and
+            ``weights`` is ``(L, N, 8)`` in the encoding's compute dtype
+            (float32 by default).
         """
-        cfg = self.config
         pos = xp.clip(xp.asarray(positions, dtype=np.float64), 0.0, 1.0)
-        n = pos.shape[0]
-        block = self.MULTILEVEL_BLOCK
-        if n <= block:
-            return self._multilevel_block(pos)
-        idx = xp.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        w = xp.empty((cfg.num_levels, n, 8), dtype=self._value_dtype)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            idx[:, start:stop], w[:, start:stop] = self._multilevel_block(pos[start:stop])
+        shape = (self.config.num_levels, pos.shape[0], 8)
+        idx = xp.empty(shape, dtype=np.int64)
+        w = xp.empty(shape, dtype=self._value_dtype)
+        for start in range(0, pos.shape[0], self.MULTILEVEL_BLOCK):
+            block = slice(start, start + self.MULTILEVEL_BLOCK)
+            self._multilevel_block(pos[block], idx[:, block], w[:, block])
         return idx, w
 
-    def _multilevel_block(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fused multi-level indices/weights for one block of clipped positions."""
-        cfg = self.config
-        n = pos.shape[0]
-        res = xp.asarray(cfg.resolutions, dtype=np.int64)  # (L,)
-        scaled = pos[None, :, :] * res[:, None, None].astype(np.float64)  # (L, N, 3)
-        base = xp.floor(scaled).astype(np.int64)
-        base = xp.clip(base, 0, (res - 1)[:, None, None])
-        frac = scaled - base  # (L, N, 3), in [0, 1)
+    def _multilevel_block(self, pos: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
+        """Fill ``(L, B, 8)`` ``idx``/``w`` for one block of clipped positions.
 
-        offsets = xp.array(
-            [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)], dtype=np.int64
-        )  # (8, 3)
-        # Trilinear weights for all levels at once; same multiply order as the
-        # per-level path so the reduced-precision results match bit-for-bit.
-        w = xp.ones((cfg.num_levels, n, 8), dtype=np.float64)
-        for axis in range(3):
-            take_hi = offsets[:, axis][None, None, :]  # (1, 1, 8)
-            f = frac[:, :, axis][:, :, None]  # (L, N, 1)
-            w = w * xp.where(take_hi == 1, f, 1.0 - f)
-
-        # Incremental corner hashing from the base vertices: no (L, N, 8, 3)
-        # corner expansion is ever materialized.
-        idx = xp.empty((cfg.num_levels, n, 8), dtype=np.int64)
-        for level in range(cfg.num_levels):
-            entries = cfg.level_table_entries(level)
-            if cfg.level_uses_hash(level):
-                idx[level] = cfg.hash_fn.corner_hashes(base[level], entries)
-            else:
-                idx[level] = DenseGridIndexer(int(res[level])).corner_hashes(base[level], entries)
-        return idx, w.astype(self._value_dtype)
+        The geometry is laid out ``(3, L, B)`` so every per-axis lo/hi
+        factor is a contiguous ``(L, B)`` array; each corner's weight is
+        ``(w_x * w_y) * w_z`` in float64 — the multiply order of
+        :meth:`vertex_indices` — rounded once into the compute dtype.
+        """
+        scaled = pos.T[:, None, :] * self._resolutions  # (3, L, B)
+        base = xp.clip(xp.floor(scaled).astype(np.int64), 0, self._max_base)
+        frac = scaled - base  # in [0, 1)
+        factors = (1.0 - frac, frac)  # [corner bit][axis] -> (L, B)
+        for i in (0, 1):
+            for j in (0, 1):
+                wxy = factors[i][0] * factors[j][1]
+                for k in (0, 1):
+                    xp.multiply(wxy, factors[k][2], out=w[:, :, 4 * i + 2 * j + k])
+        for level, hash_fn in enumerate(self._level_hashes):
+            idx[level] = hash_fn.corner_hashes(base[:, level].T, self._level_entries[level])
 
     # ------------------------------------------------------------- forward
     def forward(self, positions: np.ndarray) -> np.ndarray:
         """Encode positions; returns ``(N, L*F)`` features in compute dtype.
 
-        Uses the fused multi-level path of :meth:`multilevel_vertex_indices`;
-        :meth:`forward_reference` keeps the original per-level loop as the
-        oracle the fused path is tested against.
+        :meth:`multilevel_vertex_indices` computes every level's indices and
+        weights in one blocked pass; then each level's corner entries are
+        gathered from its view of :attr:`table` with ``take``, weighted, and
+        summed in corner order ``c = 0..7`` — the order of the per-level
+        ``sum(axis=1)`` in :meth:`forward_reference`, which stays the
+        bit-exact oracle.  The gather runs level by level over blocks of
+        :attr:`MULTILEVEL_BLOCK` points, so its temporaries stay small and
+        each level's rows stay cache- and TLB-resident while it is read.
+        Positions are clipped to the unit cube (so ``±inf`` is accepted);
+        NaN raises ``ValueError``.
         """
         positions = xp.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
+        if bool(xp.isnan(positions).any()):
+            raise ValueError("positions contain NaN; the hash grid cannot encode them")
         cfg = self.config
         n = positions.shape[0]
         idx, w = self.multilevel_vertex_indices(positions)
         features = xp.empty((n, cfg.output_dim), dtype=self._value_dtype)
-        cache_levels = []
+        out = features.reshape(n, cfg.num_levels, cfg.features_per_entry)
         for level in range(cfg.num_levels):
-            emb = self._gathered_values(level, self.embeddings[level][idx[level]])  # (N, 8, F)
-            feat = (emb * w[level][:, :, None]).sum(axis=1)  # (N, F)
-            lo = level * cfg.features_per_entry
-            features[:, lo : lo + cfg.features_per_entry] = feat
-            cache_levels.append((idx[level], w[level]))
-        self._cache = {"levels": cache_levels, "n": n}
+            for start in range(0, n, self.MULTILEVEL_BLOCK):
+                block = slice(start, start + self.MULTILEVEL_BLOCK)
+                self._interpolate(level, idx[level, block], w[level, block], out[block, level])
+        self._cache = {"levels": list(zip(idx, w)), "n": n}
         return features
 
     __call__ = forward
+
+    def _interpolate(self, level: int, idx: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        """Write one level's ``(B, F)`` weighted corner sums into ``out``."""
+        if self.config.features_per_entry == 1:
+            # A single feature leaves the corner axis innermost, where numpy
+            # reduces it pairwise rather than in order; keep numpy's sum.
+            vals = self._gathered_values(level, xp.take(self.embeddings[level], idx, axis=0))
+            vals[..., 0] *= w
+            out[...] = vals.sum(axis=1)
+            return
+        # Corner-major (8, B, F) entries, so each corner's add is contiguous.
+        vals = self._gathered_values(level, xp.take(self.embeddings[level], idx.T, axis=0))
+        for f in range(self.config.features_per_entry):
+            vals[..., f] *= w.T
+        acc = vals[0] + vals[1]
+        for c in range(2, 8):
+            acc += vals[c]
+        out[...] = acc
 
     def forward_reference(self, positions: np.ndarray) -> np.ndarray:
         """Original per-level-loop forward, kept as the oracle for tests."""
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {positions.shape}")
+        if np.isnan(positions).any():
+            raise ValueError("positions contain NaN; the hash grid cannot encode them")
         cfg = self.config
         n = positions.shape[0]
         features = np.empty((n, cfg.output_dim), dtype=self._value_dtype)
@@ -373,13 +397,17 @@ class HashGridEncoding:
         """Accumulate embedding-table gradients given ``dL/d(features)``.
 
         ``grad_output`` has shape ``(N, L*F)`` and must correspond to the
-        most recent :meth:`forward` call.  Positions are treated as constants
-        (iNGP does not back-propagate into sample positions either).
+        most recent :meth:`forward` (or :meth:`forward_reference`) call.
+        Positions are treated as constants (iNGP does not back-propagate
+        into sample positions either).
 
         The scatter-add over the 8 cube corners uses a ``bincount`` segment
-        sum per feature channel (accumulated in float64), which is typically
-        an order of magnitude faster than the ``np.add.at`` path retained in
-        :meth:`backward_reference`.
+        sum per level and feature channel (accumulated in float64), which is
+        typically an order of magnitude faster than the ``np.add.at`` path
+        retained in :meth:`backward_reference`.  Summing level by level keeps
+        each segment sum's output and weight buffer cache-resident; one
+        bincount over the whole :attr:`grad_table` gives the same bits (levels
+        own disjoint rows) but measured slower.
         """
         if self._quantized:
             raise RuntimeError(

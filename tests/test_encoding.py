@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import MortonLocalityHash
+from repro.core.hashing import MortonLocalityHash, OriginalSpatialHash
+from repro.nerf.adam import Adam
 from repro.nerf.encoding import (
     FrequencyEncoding,
     HashGridConfig,
     HashGridEncoding,
     level_resolutions,
 )
+from repro.nerf.field import InstantNGPField
 
 
 def test_level_resolutions_geometric_progression():
@@ -119,6 +121,104 @@ def test_fused_forward_matches_per_level_reference(small_grid_config, rng):
     fused = enc.forward(pos)
     reference = enc.forward_reference(pos)
     np.testing.assert_array_equal(fused, reference)
+
+
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize(
+    "hash_fn", [OriginalSpatialHash(), MortonLocalityHash()], ids=lambda h: h.name
+)
+@pytest.mark.parametrize("dtype", ["fp64", "fp32", "fp16", "int8"])
+def test_fused_forward_matches_reference_across_block_boundaries(dtype, hash_fn, features):
+    """Bit-identity at every block edge; either forward feeds the same backward.
+
+    ``features=1`` covers the layout where numpy reduces the corner axis
+    pairwise instead of in order.
+    """
+    block = HashGridEncoding.MULTILEVEL_BLOCK
+    config = HashGridConfig(
+        num_levels=4,
+        table_size=512,
+        features_per_entry=features,
+        base_resolution=4,
+        max_resolution=64,
+        hash_fn=hash_fn,
+        dtype="fp32" if dtype == "int8" else dtype,
+    )
+    rng = np.random.default_rng(7)
+    enc = HashGridEncoding(config, rng=rng)
+    for e in enc.embeddings:
+        e[...] = rng.normal(0, 1, e.shape)
+    if dtype == "int8":
+        enc = enc.quantized_int8()
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        pos = rng.uniform(-0.1, 1.1, (n, 3))  # includes out-of-range positions
+        fused = enc.forward(pos)
+        np.testing.assert_array_equal(fused, enc.forward_reference(pos))
+        assert fused.shape == (n, config.output_dim)
+        if dtype == "int8":
+            continue  # int8 tables are inference-only
+        upstream = rng.normal(size=fused.shape).astype(np.float32)
+        enc.forward(pos)
+        enc.zero_grad()
+        enc.backward(upstream)
+        fused_grads = enc.grad_table.copy()
+        enc.forward_reference(pos)
+        enc.zero_grad()
+        enc.backward(upstream)
+        np.testing.assert_array_equal(fused_grads, enc.grad_table)
+
+
+def test_nan_positions_are_rejected(small_grid_config, rng):
+    enc = HashGridEncoding(small_grid_config, rng=rng)
+    pos = rng.uniform(0, 1, (8, 3))
+    pos[5, 1] = np.nan
+    for forward in (enc.forward, enc.forward_reference):
+        with pytest.raises(ValueError, match="NaN"):
+            forward(pos)
+    # A rejected batch leaves no cache behind to poison the tables with.
+    with pytest.raises(RuntimeError):
+        enc.backward(np.zeros((8, small_grid_config.output_dim)))
+
+
+def test_infinite_positions_clip_to_the_unit_cube(small_grid_config, rng):
+    enc = HashGridEncoding(small_grid_config, rng=rng)
+    pos = np.array([[np.inf, -np.inf, 0.5], [1.0, 0.0, 0.5]])
+    for forward in (enc.forward, enc.forward_reference):
+        feats = forward(pos)
+        assert np.all(np.isfinite(feats))
+        np.testing.assert_array_equal(feats[0], feats[1])
+
+
+def _assert_views_of_one_table(enc: HashGridEncoding) -> None:
+    assert enc.table.flags.c_contiguous and enc.grad_table.flags.c_contiguous
+    rows = 0
+    for level, (emb, grad) in enumerate(zip(enc.embeddings, enc.grads)):
+        assert np.shares_memory(emb, enc.table)
+        assert np.shares_memory(grad, enc.grad_table)
+        assert enc.row_offsets[level] == rows
+        rows += emb.shape[0]
+    assert rows == enc.table.shape[0] == enc.grad_table.shape[0]
+
+
+def test_level_tables_are_views_of_one_contiguous_table(small_grid_config, rng):
+    """Levels stay views: ``zero_grad`` clears ``grad_table`` in one pass, so a
+    level array swapped for a fresh one would silently keep stale gradients."""
+    field = InstantNGPField(small_grid_config, geo_features=3, hidden_dim=8, rng=rng)
+    enc = field.encoding
+    _assert_views_of_one_table(enc)
+    _assert_views_of_one_table(enc.quantized_int8())
+    optimizer = Adam(field.parameters(), field.gradients(), learning_rate=1e-2)
+    pos = rng.uniform(0, 1, (32, 3))
+    dirs = rng.normal(size=(32, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    before = enc.table.copy()
+    for _ in range(3):
+        field.zero_grad()
+        sigma, rgb = field.forward(pos, dirs)
+        field.backward(np.ones_like(sigma), np.ones_like(rgb))
+        optimizer.step()
+    _assert_views_of_one_table(enc)
+    assert not np.array_equal(before, enc.table)  # Adam's updates reached the table
 
 
 def test_multilevel_vertex_indices_match_per_level(small_grid_config, rng):
