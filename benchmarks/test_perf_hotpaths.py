@@ -188,12 +188,16 @@ def test_encoding_forward_fused_not_slower(paper_grid, paper_points):
     """Fused multi-level hashing must match the per-level loop and not regress.
 
     Compares only the index/weight engines, on a slice of the batch.  The
-    two forward paths also gather and sum differently — ``forward`` uses
-    blocked ``take`` calls and in-order corner adds, ``forward_reference``
-    fancy indexing and ``sum(axis=1)`` — and their bit-identity is pinned in
-    ``tests/test_encoding.py``.  Full-batch wall times here are
-    dominated by allocator page-fault noise for the ~400 MB of per-call
-    outputs, which would swamp the engine comparison.
+    fused engine joins each level's per-axis code tables into corner-major
+    ``(L, 8, N)`` indices and weights, and ``multilevel_vertex_indices``
+    returns ``(L, N, 8)`` transposed views of them, so the timed call makes
+    no layout copy; the level loop hashes expanded ``(N, 8, 3)`` corners.
+    The two forward paths also gather and sum differently — ``forward``
+    gathers corner-major blocks with ``take`` and adds corners in order,
+    ``forward_reference`` uses fancy indexing and ``sum(axis=1)`` — and their
+    bit-identity is pinned in ``tests/test_encoding.py``.  Full-batch wall
+    times here are dominated by allocator page-fault noise for the ~400 MB of
+    per-call outputs, which would swamp the engine comparison.
     """
     rng = np.random.default_rng(1)
     enc = HashGridEncoding(paper_grid, rng=rng)

@@ -22,9 +22,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import xp
-from .morton import _mod_table, morton_corner_codes, morton_encode_3d, morton_hash
+from .morton import (
+    _mod_table,
+    morton_corner_codes,
+    morton_encode_3d,
+    morton_hash,
+    separate_by_two,
+)
 
 __all__ = [
+    "AxisCodes",
     "HashFunction",
     "OriginalSpatialHash",
     "MortonLocalityHash",
@@ -75,6 +82,70 @@ def cube_vertices(base_coords: NDArray[Any]) -> NDArray[Any]:
     return base[:, None, :] + cube_vertex_offsets()[None, :, :]
 
 
+@dataclass(frozen=True, eq=False)
+class AxisCodes:
+    """A separable hash of one grid level as three per-axis code tables.
+
+    Every hash here is ``join(X[x], Y[y], Z[z])`` for per-axis terms joined by
+    one ufunc (``bitwise_or`` for Morton, ``bitwise_xor`` for prime-XOR,
+    ``add`` for dense row-major), reduced modulo ``T``.  ``tables[a]`` holds
+    axis ``a``'s ``uint64`` term for coordinates ``0..res``, so a cube's two
+    corners on that axis are ``tables[a][b]`` and ``tables[a][b + 1]``.
+    The terms are pre-masked by ``T - 1`` when ``T`` is a power of two, which
+    leaves every join's code unchanged modulo ``T``; ``modulus`` is ``T`` when
+    the joined code can still reach ``T`` and must be reduced, else ``None``.
+    """
+
+    tables: tuple[NDArray[Any], NDArray[Any], NDArray[Any]]
+    join: np.ufunc
+    modulus: int | None
+
+    @classmethod
+    def build(cls, terms: list[NDArray[Any]], join: np.ufunc, table_size: int) -> AxisCodes:
+        """Pre-mask ``terms`` when ``T`` is a power of two and decide the modulus."""
+        if table_size <= 0:
+            raise ValueError(f"table_size must be positive, got {table_size}")
+        if table_size & (table_size - 1) == 0:
+            terms = [t & np.uint64(table_size - 1) for t in terms]
+        peaks = [int(t.max()) for t in terms]
+        if join is xp.add:
+            bound = sum(peaks)
+        else:  # OR/XOR never set a bit above the widest term's top bit
+            bound = (1 << max(peaks).bit_length()) - 1
+        modulus = None if bound < table_size else int(table_size)
+        return cls((terms[0], terms[1], terms[2]), join, modulus)
+
+    def corner_codes(
+        self,
+        base_x: NDArray[Any],
+        base_y: NDArray[Any],
+        base_z: NDArray[Any],
+        out: NDArray[Any] | None = None,
+    ) -> NDArray[Any]:
+        """Table indices of the 8 corners of each cube, corner-major ``(8, N)``.
+
+        ``base_*`` are the ``(N,)`` integer lower-corner coordinates, in
+        ``[0, res)``; corner ``m`` is offset ``(m >> 2 & 1, m >> 1 & 1,
+        m & 1)`` as in :func:`cube_vertex_offsets`.  Each row is written into
+        ``out`` (``uint64``) in one contiguous pass: six small-table ``take``s,
+        four ``X|Y`` joins, eight ``XY|Z`` joins.
+        """
+        n = base_x.shape[0]
+        out = xp.empty((8, n), dtype=np.uint64) if out is None else out
+        xs, ys, zs = [
+            (xp.take(table, base), xp.take(table[1:], base))
+            for table, base in zip(self.tables, (base_x, base_y, base_z))
+        ]
+        for i in (0, 1):
+            for j in (0, 1):
+                xy = self.join(xs[i], ys[j])
+                for k in (0, 1):
+                    self.join(xy, zs[k], out=out[4 * i + 2 * j + k])
+        if self.modulus is not None:
+            xp.remainder(out, np.uint64(self.modulus), out=out)
+        return out
+
+
 class HashFunction:
     """Maps integer 3D vertex coordinates to hash-table indices in ``[0, T)``."""
 
@@ -95,6 +166,14 @@ class HashFunction:
         """
         verts = cube_vertices(base_coords)  # (N, 8, 3)
         return self(verts.reshape(-1, 3), table_size).reshape(verts.shape[0], 8)
+
+    def axis_codes(self, resolution: int, table_size: int) -> AxisCodes:
+        """The hash of a level with ``resolution`` cells per axis as per-axis tables.
+
+        The tables cover coordinates ``0..resolution`` and reproduce
+        :meth:`corner_hashes` exactly; only separable hashes provide them.
+        """
+        raise NotImplementedError(f"{type(self).__name__} is not separable per axis")
 
 
 class OriginalSpatialHash(HashFunction):
@@ -137,6 +216,11 @@ class OriginalSpatialHash(HashFunction):
             out[:, m] = axis[0][i] ^ axis[1][j] ^ axis[2][k]
         return _mod_table(out, table_size)
 
+    def axis_codes(self, resolution: int, table_size: int) -> AxisCodes:
+        coords = xp.arange(resolution + 1, dtype=np.uint64)
+        terms = [coords * np.uint64(p) for p in self.primes]
+        return AxisCodes.build(terms, xp.bitwise_xor, table_size)
+
 
 class MortonLocalityHash(HashFunction):
     """Instant-NeRF's locality-sensitive Morton-code hash (paper Eq. (2))."""
@@ -159,6 +243,12 @@ class MortonLocalityHash(HashFunction):
                 raise ValueError("morton_hash requires non-negative coordinates")
         codes = morton_corner_codes(morton_encode_3d(base[:, 0], base[:, 1], base[:, 2]))
         return _mod_table(codes, table_size)
+
+    def axis_codes(self, resolution: int, table_size: int) -> AxisCodes:
+        # Eq. (2) term by term: f(x0) | f(x1) << 1 | f(x2) << 2.
+        spread = separate_by_two(xp.arange(resolution + 1, dtype=np.uint64))
+        terms = [spread << np.uint64(axis) for axis in range(3)]
+        return AxisCodes.build(terms, xp.bitwise_or, table_size)
 
 
 class DenseGridIndexer(HashFunction):
@@ -195,6 +285,12 @@ class DenseGridIndexer(HashFunction):
             dtype=np.int64,
         )
         return ((linear[:, None] + strides[None, :]) % table_size).astype(np.int64)
+
+    def axis_codes(self, resolution: int, table_size: int) -> AxisCodes:
+        r = self.resolution + 1
+        coords = xp.arange(resolution + 1, dtype=np.uint64)
+        terms = [coords * np.uint64(stride) for stride in (1, r, r * r)]
+        return AxisCodes.build(terms, xp.add, table_size)
 
 
 #: Hash-function constructors addressable by name from configuration files,

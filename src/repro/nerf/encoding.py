@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..core import precision, xp
-from ..core.hashing import DenseGridIndexer, HashFunction, OriginalSpatialHash
+from ..core.hashing import AxisCodes, DenseGridIndexer, HashFunction, OriginalSpatialHash
 
 __all__ = [
     "HashGridConfig",
@@ -137,7 +137,7 @@ class HashGridEncoding:
 
     #: Points per block of the fused multi-level index pass and of the
     #: per-level gather.  The block bounds the working set ((L, block) per-axis
-    #: geometry, (block, 8, F) gathered entries) to a few MB so the
+    #: geometry, (8, block, F) gathered entries) to a few MB so the
     #: intermediate arrays stay cache/allocator-friendly at paper-scale N; an
     #: unblocked (L, N, 8, 3) broadcast at N=256K would materialize close to a
     #: GB of short-lived temporaries.
@@ -157,8 +157,10 @@ class HashGridEncoding:
         self._resolutions = xp.asarray(resolutions, dtype=np.float64)[:, None]  # (L, 1)
         self._max_base = xp.asarray(resolutions, dtype=np.int64)[:, None] - 1  # (L, 1)
         self._level_entries = [cfg.level_table_entries(lvl) for lvl in range(cfg.num_levels)]
-        self._level_hashes: list[HashFunction] = [
-            cfg.hash_fn if cfg.level_uses_hash(lvl) else DenseGridIndexer(res)
+        self._level_codes: list[AxisCodes] = [
+            (cfg.hash_fn if cfg.level_uses_hash(lvl) else DenseGridIndexer(res)).axis_codes(
+                res, self._level_entries[lvl]
+            )
             for lvl, res in enumerate(resolutions)
         ]
         starts = [0, *itertools.accumulate(self._level_entries)]
@@ -275,13 +277,9 @@ class HashGridEncoding:
     def multilevel_vertex_indices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hash-table indices and weights for *all* levels in one fused pass.
 
-        The per-level geometry (cube bases, fractional offsets, trilinear
-        weights) is a broadcast over a ``(L, block)`` batch, and each
-        level's 8 corner indices come from one incremental
-        :meth:`HashFunction.corner_hashes` call on the base vertices — the
-        ``(L, N, 8, 3)`` corner expansion of the per-level path is never
-        materialized.  Produces bit-identical results to calling
-        :meth:`vertex_indices` level by level.
+        Produces bit-identical results to calling :meth:`vertex_indices`
+        level by level.  The arrays are filled corner-major by
+        :meth:`_multilevel_block`; what is returned are transposed views.
 
         Returns
         -------
@@ -290,47 +288,58 @@ class HashGridEncoding:
             ``weights`` is ``(L, N, 8)`` in the encoding's compute dtype
             (float32 by default).
         """
+        idx, w = self._corner_major_indices(positions)
+        return idx.transpose(0, 2, 1), w.transpose(0, 2, 1)
+
+    def _corner_major_indices(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(L, 8, N)`` int64 indices and weights, in blocks of :attr:`MULTILEVEL_BLOCK`."""
         pos = xp.clip(xp.asarray(positions, dtype=np.float64), 0.0, 1.0)
-        shape = (self.config.num_levels, pos.shape[0], 8)
+        shape = (self.config.num_levels, 8, pos.shape[0])
         idx = xp.empty(shape, dtype=np.int64)
+        codes = idx.view(np.uint64)  # every index is in [0, T), so both views agree
         w = xp.empty(shape, dtype=self._value_dtype)
         for start in range(0, pos.shape[0], self.MULTILEVEL_BLOCK):
             block = slice(start, start + self.MULTILEVEL_BLOCK)
-            self._multilevel_block(pos[block], idx[:, block], w[:, block])
+            self._multilevel_block(pos[block], codes[:, :, block], w[:, :, block])
         return idx, w
 
-    def _multilevel_block(self, pos: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
-        """Fill ``(L, B, 8)`` ``idx``/``w`` for one block of clipped positions.
+    def _multilevel_block(self, pos: np.ndarray, codes: np.ndarray, w: np.ndarray) -> None:
+        """Fill ``(L, 8, B)`` ``codes``/``w`` for one block of clipped positions.
 
         The geometry is laid out ``(3, L, B)`` so every per-axis lo/hi
-        factor is a contiguous ``(L, B)`` array; each corner's weight is
-        ``(w_x * w_y) * w_z`` in float64 — the multiply order of
-        :meth:`vertex_indices` — rounded once into the compute dtype.
+        factor and cube base is a contiguous ``(L, B)`` array.  Each corner's
+        weight is ``(w_x * w_y) * w_z`` in float64 — the multiply order of
+        :meth:`vertex_indices` — rounded once into the compute dtype.  Each
+        level's corner indices come from its per-axis code tables
+        (:meth:`AxisCodes.corner_codes`), one contiguous row per corner.
         """
-        scaled = pos.T[:, None, :] * self._resolutions  # (3, L, B)
-        base = xp.clip(xp.floor(scaled).astype(np.int64), 0, self._max_base)
+        scaled = pos.T[:, None, :] * self._resolutions  # (3, L, B), all >= 0
+        base = scaled.astype(np.int64)  # truncation is floor here
+        xp.minimum(base, self._max_base, out=base)
         frac = scaled - base  # in [0, 1)
-        factors = (1.0 - frac, frac)  # [corner bit][axis] -> (L, B)
+        factors = (xp.subtract(1.0, frac, out=scaled), frac)  # [corner bit][axis] -> (L, B)
         for i in (0, 1):
             for j in (0, 1):
                 wxy = factors[i][0] * factors[j][1]
                 for k in (0, 1):
-                    xp.multiply(wxy, factors[k][2], out=w[:, :, 4 * i + 2 * j + k])
-        for level, hash_fn in enumerate(self._level_hashes):
-            idx[level] = hash_fn.corner_hashes(base[:, level].T, self._level_entries[level])
+                    xp.multiply(wxy, factors[k][2], out=w[:, 4 * i + 2 * j + k])
+        for level, level_codes in enumerate(self._level_codes):
+            level_codes.corner_codes(*base[:, level], out=codes[level])
 
     # ------------------------------------------------------------- forward
     def forward(self, positions: np.ndarray) -> np.ndarray:
         """Encode positions; returns ``(N, L*F)`` features in compute dtype.
 
-        :meth:`multilevel_vertex_indices` computes every level's indices and
-        weights in one blocked pass; then each level's corner entries are
-        gathered from its view of :attr:`table` with ``take``, weighted, and
-        summed in corner order ``c = 0..7`` — the order of the per-level
-        ``sum(axis=1)`` in :meth:`forward_reference`, which stays the
-        bit-exact oracle.  The gather runs level by level over blocks of
-        :attr:`MULTILEVEL_BLOCK` points, so its temporaries stay small and
-        each level's rows stay cache- and TLB-resident while it is read.
+        :meth:`_corner_major_indices` computes every level's indices and
+        weights in one blocked pass, as ``(L, 8, N)`` arrays; then each
+        level's corner entries are gathered from its view of :attr:`table`
+        with ``take``, weighted, and summed in corner order ``c = 0..7`` —
+        the order of the per-level ``sum(axis=1)`` in
+        :meth:`forward_reference`, which stays the bit-exact oracle.  The
+        gather runs level by level over blocks of :attr:`MULTILEVEL_BLOCK`
+        points, so its temporaries stay small and each level's rows stay
+        cache- and TLB-resident while it is read.  The cache keeps the
+        per-level ``(N, 8)`` transposed views that :meth:`backward` reads.
         Positions are clipped to the unit cube (so ``±inf`` is accepted);
         NaN raises ``ValueError``.
         """
@@ -341,31 +350,31 @@ class HashGridEncoding:
             raise ValueError("positions contain NaN; the hash grid cannot encode them")
         cfg = self.config
         n = positions.shape[0]
-        idx, w = self.multilevel_vertex_indices(positions)
+        idx, w = self._corner_major_indices(positions)
         features = xp.empty((n, cfg.output_dim), dtype=self._value_dtype)
         out = features.reshape(n, cfg.num_levels, cfg.features_per_entry)
-        for level in range(cfg.num_levels):
+        for level, (level_idx, level_w) in enumerate(zip(idx, w)):
             for start in range(0, n, self.MULTILEVEL_BLOCK):
                 block = slice(start, start + self.MULTILEVEL_BLOCK)
-                self._interpolate(level, idx[level, block], w[level, block], out[block, level])
-        self._cache = {"levels": list(zip(idx, w)), "n": n}
+                self._interpolate(level, level_idx[:, block], level_w[:, block], out[block, level])
+        self._cache = {"levels": list(zip(idx.transpose(0, 2, 1), w.transpose(0, 2, 1))), "n": n}
         return features
 
     __call__ = forward
 
     def _interpolate(self, level: int, idx: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-        """Write one level's ``(B, F)`` weighted corner sums into ``out``."""
+        """Write one level's ``(B, F)`` weighted corner sums of ``(8, B)`` corners into ``out``."""
         if self.config.features_per_entry == 1:
             # A single feature leaves the corner axis innermost, where numpy
             # reduces it pairwise rather than in order; keep numpy's sum.
-            vals = self._gathered_values(level, xp.take(self.embeddings[level], idx, axis=0))
-            vals[..., 0] *= w
+            vals = self._gathered_values(level, xp.take(self.embeddings[level], idx.T, axis=0))
+            vals[..., 0] *= w.T
             out[...] = vals.sum(axis=1)
             return
         # Corner-major (8, B, F) entries, so each corner's add is contiguous.
-        vals = self._gathered_values(level, xp.take(self.embeddings[level], idx.T, axis=0))
+        vals = self._gathered_values(level, xp.take(self.embeddings[level], idx, axis=0))
         for f in range(self.config.features_per_entry):
-            vals[..., f] *= w.T
+            vals[..., f] *= w
         acc = vals[0] + vals[1]
         for c in range(2, 8):
             acc += vals[c]
@@ -481,14 +490,30 @@ class FrequencyEncoding:
         return dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        """Encode ``(N, D)`` inputs; returns ``(N, output_dim)`` float32.
+
+        Each run of bit-identical consecutive rows is encoded once and
+        repeated: the trainer gives every sample of a ray its ray's
+        direction, so a batch of rays x samples is encoded per ray.
+        """
         x = xp.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected shape (N, {self.input_dim}), got {x.shape}")
+        n = x.shape[0]
+        if n < 2:
+            return self._encode(x)
+        bits = xp.ascontiguousarray(x).view(np.uint64)
+        run_starts = xp.ones(n, dtype=bool)
+        run_starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        starts = xp.flatnonzero(run_starts)
+        if starts.size == n:  # no two neighbours repeat
+            return self._encode(x)
+        return xp.repeat(self._encode(x[starts]), xp.diff(starts, append=n), axis=0)
+
+    def _encode(self, x: np.ndarray) -> np.ndarray:
         angles = x[:, :, None] * self.freq_bands[None, None, :]  # (N, D, K)
-        enc = xp.concatenate(
-            [xp.sin(angles).reshape(x.shape[0], -1), xp.cos(angles).reshape(x.shape[0], -1)],
-            axis=1,
-        )
+        shape = (x.shape[0], self.input_dim * self.num_frequencies)  # N may be 0
+        enc = xp.concatenate([xp.sin(angles).reshape(shape), xp.cos(angles).reshape(shape)], axis=1)
         if self.include_input:
             enc = xp.concatenate([x, enc], axis=1)
         return enc.astype(np.float32)

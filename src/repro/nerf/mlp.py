@@ -195,7 +195,8 @@ class MLP:
             )
         for i in reversed(range(num_layers)):
             act = self.output_act if i == num_layers - 1 else self.hidden_act
-            dz = grad * act.grad(pre_acts[i], activations[i + 1])
+            # The identity's derivative is 1: skip the multiply.
+            dz = grad if act.fn is identity else grad * act.grad(pre_acts[i], activations[i + 1])
             self.weight_grads[i] += activations[i].T @ dz
             self.bias_grads[i] += dz.sum(axis=0)
             grad = dz @ self.weights[i].T

@@ -168,6 +168,47 @@ def test_fused_forward_matches_reference_across_block_boundaries(dtype, hash_fn,
         np.testing.assert_array_equal(fused_grads, enc.grad_table)
 
 
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize(
+    "hash_fn", [OriginalSpatialHash(), MortonLocalityHash()], ids=lambda h: h.name
+)
+@pytest.mark.parametrize("dtype", ["fp64", "fp32", "fp16"])
+def test_fused_encode_is_bit_identical_at_a_table_size_that_is_not_a_power_of_two(
+    dtype, hash_fn, features
+):
+    """T=500 takes the ``% T`` path of the per-axis corner codes on hashed
+    levels (a power of two pre-masks them instead); both must match the
+    per-level oracle at every block edge, forward and backward."""
+    block = HashGridEncoding.MULTILEVEL_BLOCK
+    config = HashGridConfig(
+        num_levels=4,
+        table_size=500,
+        features_per_entry=features,
+        base_resolution=4,
+        max_resolution=64,
+        hash_fn=hash_fn,
+        dtype=dtype,
+    )
+    assert any(config.level_uses_hash(level) for level in range(config.num_levels))
+    rng = np.random.default_rng(11)
+    enc = HashGridEncoding(config, rng=rng)
+    for e in enc.embeddings:
+        e[...] = rng.normal(0, 1, e.shape)
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+        pos = rng.uniform(-0.1, 1.1, (n, 3))
+        fused = enc.forward(pos)
+        np.testing.assert_array_equal(fused, enc.forward_reference(pos))
+        upstream = rng.normal(size=fused.shape).astype(np.float32)
+        enc.forward(pos)
+        enc.zero_grad()
+        enc.backward(upstream)
+        fused_grads = enc.grad_table.copy()
+        enc.forward_reference(pos)
+        enc.zero_grad()
+        enc.backward(upstream)
+        np.testing.assert_array_equal(fused_grads, enc.grad_table)
+
+
 def test_nan_positions_are_rejected(small_grid_config, rng):
     enc = HashGridEncoding(small_grid_config, rng=rng)
     pos = rng.uniform(0, 1, (8, 3))
@@ -285,3 +326,36 @@ def test_frequency_encoding_output_dim_property(dim, freqs):
     enc = FrequencyEncoding(input_dim=dim, num_frequencies=freqs, include_input=False)
     assert enc.output_dim == dim * freqs * 2
     assert enc.forward(np.zeros((3, dim))).shape == (3, enc.output_dim)
+
+
+def _assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal shape, dtype and bytes: unlike ``==``, tells ``-0.0`` from ``0.0``."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("include_input", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 2, 192])
+@pytest.mark.parametrize("k", [1, 40])
+def test_frequency_encoding_commutes_with_repeating_rows(include_input, n, k):
+    """Encoding each run of equal rows once is invisible: repeating the
+    inputs repeats the outputs, and shuffling them (which breaks the runs)
+    shuffles the outputs, bit for bit."""
+    enc = FrequencyEncoding(input_dim=3, num_frequencies=4, include_input=include_input)
+    rng = np.random.default_rng(n * 100 + k)
+    x = rng.normal(size=(n, 3))
+    repeated = np.repeat(x, k, axis=0)
+    _assert_same_bits(enc(repeated), np.repeat(enc(x), k, axis=0))
+    order = rng.permutation(repeated.shape[0])
+    _assert_same_bits(enc(repeated[order]), enc(repeated)[order])
+
+
+def test_frequency_encoding_keeps_signed_zeros_apart():
+    """``-0.0 == 0.0``, but they encode to different bits (``sin(-0.0)`` is
+    ``-0.0``), so rows that differ only in a zero's sign are not one run."""
+    enc = FrequencyEncoding(input_dim=3, num_frequencies=2, include_input=True)
+    x = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])
+    out = enc(x)
+    for row in range(3):
+        _assert_same_bits(out[row : row + 1], enc(x[row : row + 1]))
+    assert out[0].tobytes() != out[1].tobytes()

@@ -126,3 +126,32 @@ def test_hash_indices_always_within_table(table_size):
     for fn in (OriginalSpatialHash(), MortonLocalityHash()):
         idx = fn(coords, table_size)
         assert np.all((idx >= 0) & (idx < table_size))
+
+
+@given(
+    st.integers(1, 300),
+    st.one_of(
+        st.sampled_from([500, 1000]),
+        st.integers(0, 20).map(lambda e: 2**e),
+        st.integers(1, 2**20),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_axis_codes_reproduce_corner_hashes(res, table_size, seed):
+    """The per-axis tables give every corner index of every indexer, whether
+    ``T`` is a power of two (pre-masked tables) or not (``% T`` after the
+    join), up to corners on the far face at coordinate ``res``."""
+    base = np.random.default_rng(seed).integers(0, res, size=(32, 3))
+    base[0] = 0
+    base[1] = res - 1
+    base[2] = (0, res - 1, 0)
+    for fn in (OriginalSpatialHash(), MortonLocalityHash(), DenseGridIndexer(res)):
+        codes = fn.axis_codes(res, table_size)
+        corners = codes.corner_codes(base[:, 0], base[:, 1], base[:, 2])
+        assert corners.shape == (8, base.shape[0]) and corners.dtype == np.uint64
+        np.testing.assert_array_equal(
+            corners.T.astype(np.int64), fn.corner_hashes(base, table_size)
+        )
+        if table_size & (table_size - 1) == 0 and codes.join is not np.add:
+            assert codes.modulus is None  # pre-masked OR/XOR: the join is the index

@@ -293,6 +293,23 @@ def test_memory_flow_counters_balance():
     assert counters["mem.cache_coalesced"] > 0 and counters["mem.prefetch_fills"] > 0
 
 
+def test_dram_and_serving_flow_counters_balance():
+    """A fig14 smoke run: every DRAM request is a row hit or a row miss, and
+    every simulated request is served, shed or rejected."""
+    _, metrics = obs.enable(wall_clock=False)
+    spec = get_experiment("fig14_serving_latency")
+    result = spec.run(**spec.smoke)
+    params = spec.bind(spec.smoke)
+    simulated = len(result.rows) * params["tenants"] * params["requests"]
+
+    counters = metrics.snapshot()["counters"]
+    assert counters["dram.requests"] > 0
+    assert counters["dram.requests"] == counters["dram.row_hits"] + counters["dram.row_misses"]
+    outcomes = [counters.get(f"serve.{name}", 0) for name in ("served", "shed", "rejected")]
+    assert outcomes[0] > 0
+    assert sum(outcomes) == simulated
+
+
 # ------------------------------------------------------------- determinism
 def test_serial_sweep_artifact_identical_with_obs_enabled():
     baseline = sweep("fig07", FIG07_GRID, executor="serial", extra_params=FIG07_EXTRA)
